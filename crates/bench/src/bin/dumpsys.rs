@@ -9,25 +9,21 @@
 //! * **Recorded** — ingest a telemetry JSONL some earlier run wrote (e.g.
 //!   `table5 --jsonl dir/` or `chaos --jsonl dir/`):
 //!   `cargo run --release -p leaseos-bench --bin dumpsys -- \
-//!      --jsonl dir/Facebook_w-o-lease_42.jsonl`
+//!      --jsonl dir/Facebook_w_o-lease_Pixel-XL_42.jsonl`
 //!
 //! `--format {text,json,csv,folded}` picks the rendering (default text) —
 //! `folded` emits inferno-compatible flame-graph stacks — and
 //! `--jsonl-out FILE` saves a live run's telemetry for later re-ingestion.
 //! Reports are deterministic: same scenario and seed, same bytes.
 //!
-//! With `--connect <socket>` a live report is served by a resident daemon
-//! (`leaseos_bench::daemon`) — byte-identical output, warm caches, no
-//! startup cost — falling back to in-process execution with a warning if
-//! the daemon is unreachable. Recorded mode (`--jsonl`/`--jsonl-out`)
-//! always runs in-process.
+//! A resident daemon serves the same live report through its `dumpsys`
+//! command (`daemon --connect SOCK --request '{"v":1,"cmd":"dumpsys",…}'
+//! --extract output`).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use leaseos_bench::daemon::DaemonClient;
 use leaseos_bench::dumpsys::{live_jsonl, scenario_label, Format, Report};
 use leaseos_bench::PolicyKind;
-use leaseos_simkit::JsonValue;
 
 struct Flags {
     app: String,
@@ -37,7 +33,6 @@ struct Flags {
     jsonl: Option<PathBuf>,
     jsonl_out: Option<PathBuf>,
     format: Format,
-    connect: Option<String>,
 }
 
 fn parse_flags() -> Flags {
@@ -49,7 +44,6 @@ fn parse_flags() -> Flags {
         jsonl: None,
         jsonl_out: None,
         format: Format::Text,
-        connect: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -64,67 +58,14 @@ fn parse_flags() -> Flags {
             "--jsonl" => flags.jsonl = Some(PathBuf::from(take())),
             "--jsonl-out" => flags.jsonl_out = Some(PathBuf::from(take())),
             "--format" => flags.format = Format::parse(&take()).unwrap_or_else(|e| panic!("{e}")),
-            "--connect" => flags.connect = Some(take()),
             other => panic!("unknown flag {other}"),
         }
     }
     flags
 }
 
-/// Asks the daemon for the report. Transport failures come back as
-/// `Err(reason)` so main can fall back in-process; a daemon-side command
-/// error (e.g. an unknown app) is terminal, like its local equivalent.
-fn report_remote(socket: &str, flags: &Flags) -> Result<(String, f64), String> {
-    let mut client = DaemonClient::connect(Path::new(socket)).map_err(|e| e.to_string())?;
-    let result = client
-        .call(
-            "dumpsys",
-            vec![
-                ("app".to_owned(), JsonValue::Str(flags.app.clone())),
-                (
-                    "policy".to_owned(),
-                    JsonValue::Str(flags.policy.cli_name().to_owned()),
-                ),
-                ("seed".to_owned(), JsonValue::Num(flags.seed as f64)),
-                ("minutes".to_owned(), JsonValue::Num(flags.mins as f64)),
-                (
-                    "format".to_owned(),
-                    JsonValue::Str(flags.format.name().to_owned()),
-                ),
-            ],
-        )
-        .unwrap_or_else(|e| panic!("dumpsys: {e}"));
-    let output = result
-        .get("output")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| "daemon result missing \"output\"".to_owned())?;
-    let violations = result
-        .get("violations")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0);
-    Ok((output.to_owned(), violations))
-}
-
 fn main() {
     let flags = parse_flags();
-    if let Some(socket) = flags.connect.clone() {
-        if flags.jsonl.is_some() || flags.jsonl_out.is_some() {
-            eprintln!("dumpsys: --connect only serves live reports; running in-process");
-        } else {
-            match report_remote(&socket, &flags) {
-                Ok((output, violations)) => {
-                    print!("{output}");
-                    if violations > 0.0 {
-                        std::process::exit(1);
-                    }
-                    return;
-                }
-                Err(e) => {
-                    eprintln!("dumpsys: cannot reach daemon at {socket} ({e}); running in-process");
-                }
-            }
-        }
-    }
     let (label, jsonl) = match &flags.jsonl {
         Some(path) => {
             let data = std::fs::read_to_string(path)

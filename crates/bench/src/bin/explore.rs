@@ -12,102 +12,35 @@
 //! `--device <pixel-xl|nexus-6|nexus-5x|nexus-4|galaxy-s4|moto-g>`,
 //! `--minutes <n>`, `--seed <n>`, `--trace <n>` (print the last n kernel
 //! trace entries), `--spans` (render the open/closed causal span tree),
-//! `--list` (show available apps).
+//! `--list` (show available apps). Any other flag is an error.
 //!
-//! With `--connect <socket>` the run is served by a resident daemon
-//! (`leaseos_bench::daemon`) instead of executing in-process — byte-
-//! identical output, warm caches, no startup cost. If the daemon is
-//! unreachable the scenario falls back to in-process execution with a
-//! warning on stderr.
+//! A resident daemon serves the same report through its `explore` command
+//! (`daemon --connect SOCK --request '{"v":1,"cmd":"explore",…}' --extract
+//! output`).
 
-use std::path::Path;
-
-use leaseos_bench::daemon::DaemonClient;
 use leaseos_bench::explore::{self, ExploreParams};
-use leaseos_simkit::JsonValue;
-
-fn parse_args() -> std::collections::HashMap<String, String> {
-    let mut map = std::collections::HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--list" || arg == "--trace-all" || arg == "--spans" {
-            map.insert(arg.trim_start_matches('-').to_owned(), "true".into());
-        } else if let Some(key) = arg.strip_prefix("--") {
-            if let Some(value) = args.next() {
-                map.insert(key.to_owned(), value);
-            }
-        }
-    }
-    map
-}
-
-/// Asks the daemon at `socket` to render `params`. A transport-level
-/// failure comes back as `Err(reason)` so the caller can fall back to
-/// in-process execution; a daemon-side command error exits like the
-/// equivalent local error would.
-fn render_remote(socket: &str, params: &ExploreParams) -> Result<String, String> {
-    let mut client = DaemonClient::connect(Path::new(socket)).map_err(|e| e.to_string())?;
-    let result = client
-        .call(
-            "explore",
-            vec![
-                ("app".to_owned(), JsonValue::Str(params.app.clone())),
-                ("policy".to_owned(), JsonValue::Str(params.policy.clone())),
-                ("device".to_owned(), JsonValue::Str(params.device.clone())),
-                ("minutes".to_owned(), JsonValue::Num(params.minutes as f64)),
-                ("seed".to_owned(), JsonValue::Num(params.seed as f64)),
-                ("trace".to_owned(), JsonValue::Num(params.trace as f64)),
-                ("spans".to_owned(), JsonValue::Bool(params.spans)),
-            ],
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    result
-        .get("output")
-        .and_then(JsonValue::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| "daemon result missing \"output\"".to_owned())
-}
 
 fn main() {
-    let args = parse_args();
-    if args.contains_key("list") {
+    let mut params = ExploreParams::default();
+    let mut list = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut take = || args.next().unwrap_or_else(|| panic!("{arg} needs a value"));
+        match arg.as_str() {
+            "--app" => params.app = take(),
+            "--policy" => params.policy = take(),
+            "--device" => params.device = take(),
+            "--minutes" => params.minutes = take().parse().expect("--minutes takes an integer"),
+            "--seed" => params.seed = take().parse().expect("--seed takes an integer"),
+            "--trace" => params.trace = take().parse().expect("--trace takes an integer"),
+            "--spans" => params.spans = true,
+            "--list" => list = true,
+            other => panic!("unknown flag {other}"),
+        }
+    }
+    if list {
         print!("{}", explore::list_text());
         return;
-    }
-
-    let defaults = ExploreParams::default();
-    let params = ExploreParams {
-        app: args.get("app").cloned().unwrap_or(defaults.app),
-        policy: args.get("policy").cloned().unwrap_or(defaults.policy),
-        device: args.get("device").cloned().unwrap_or(defaults.device),
-        minutes: args
-            .get("minutes")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.minutes),
-        seed: args
-            .get("seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.seed),
-        trace: args
-            .get("trace")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(defaults.trace),
-        spans: args.contains_key("spans"),
-    };
-
-    if let Some(socket) = args.get("connect") {
-        match render_remote(socket, &params) {
-            Ok(output) => {
-                print!("{output}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("explore: cannot reach daemon at {socket} ({e}); running in-process");
-            }
-        }
     }
 
     match explore::render(&params) {

@@ -10,11 +10,8 @@
 //! writes one telemetry JSONL file per scenario into `dir`, and
 //! `--attribution` traces every run and appends wasted-energy columns
 //! (vanilla vs LeaseOS, mJ over the run) from the span ledger — the
-//! utilitarian view of the same table. `--cache` reuses the chaos
-//! harness's persistent result store (`target/leaseos-cache/` unless
-//! `LEASEOS_CACHE_DIR` overrides it): each cell is keyed by its scenario
-//! fingerprint, the build revision, and the `--attribution`/`--jsonl`
-//! switches, so a warm rerun replays every cell without simulating.
+//! utilitarian view of the same table. Any other flag, or a positional
+//! argument that is not a number, is an error.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -22,17 +19,15 @@ use std::sync::Arc;
 
 use leaseos_apps::buggy::table5_cases;
 use leaseos_bench::{
-    build_rev, f2, reduction_pct, KeyBuilder, Matrix, PolicyKind, ResultCache, ScenarioRunner,
-    ScenarioSpec, TextTable, RUN_LENGTH,
+    f2, reduction_pct, Matrix, PolicyKind, ScenarioRunner, ScenarioSpec, TextTable, RUN_LENGTH,
 };
-use leaseos_simkit::{JsonValue, JsonlSink};
+use leaseos_simkit::JsonlSink;
 
 struct Flags {
     seeds: u64,
     threads: Option<usize>,
     jsonl: Option<std::path::PathBuf>,
     attribution: bool,
-    cache: bool,
 }
 
 fn parse_flags() -> Flags {
@@ -41,19 +36,21 @@ fn parse_flags() -> Flags {
         threads: None,
         jsonl: None,
         attribution: false,
-        cache: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut take = || args.next().unwrap_or_else(|| panic!("{arg} needs a value"));
         match arg.as_str() {
-            "--threads" => flags.threads = args.next().and_then(|s| s.parse().ok()),
-            "--jsonl" => flags.jsonl = args.next().map(std::path::PathBuf::from),
+            "--threads" => {
+                flags.threads = Some(take().parse().expect("--threads takes an integer"))
+            }
+            "--jsonl" => flags.jsonl = Some(std::path::PathBuf::from(take())),
             "--attribution" => flags.attribution = true,
-            "--cache" => flags.cache = true,
+            other if other.starts_with('-') => panic!("unknown flag {other}"),
             other => {
-                if let Ok(n) = other.parse() {
-                    flags.seeds = n;
-                }
+                flags.seeds = other
+                    .parse()
+                    .unwrap_or_else(|_| panic!("seed count must be an integer, got {other:?}"))
             }
         }
     }
@@ -80,35 +77,8 @@ fn run_matrix(
     runner: &ScenarioRunner,
     jsonl: Option<&std::path::Path>,
     attribution: bool,
-    cache: Option<&ResultCache>,
-    rev: &str,
 ) -> Vec<(f64, f64)> {
     runner.run(specs, |_, spec| {
-        let key = cache.map(|_| {
-            KeyBuilder::new("table5-cell/v1")
-                .field("spec", spec.fingerprint())
-                .field("rev", rev)
-                .field("attribution", attribution as u8)
-                .field("jsonl", jsonl.is_some() as u8)
-                .finish()
-        });
-        if let (Some(cache), Some(key)) = (cache, key) {
-            if let Some(entry) = cache.load(key) {
-                let power = entry
-                    .summary
-                    .get("app_power_mw")
-                    .and_then(JsonValue::as_f64);
-                let wasted = entry.summary.get("wasted_mj").and_then(JsonValue::as_f64);
-                if let (Some(power), Some(wasted)) = (power, wasted) {
-                    if let Some(dir) = jsonl {
-                        let path = dir.join(format!("{}.jsonl", slug(&spec.label)));
-                        std::fs::write(&path, &entry.jsonl).expect("write JSONL output file");
-                    }
-                    return (power, wasted);
-                }
-                // Undecodable summary: fall through and re-execute.
-            }
-        }
         let sink = jsonl.map(|_| Rc::new(RefCell::new(JsonlSink::new(Vec::new()))));
         let run = spec.execute_with(|kernel| {
             if attribution {
@@ -123,22 +93,9 @@ fn run_matrix(
             .tracing()
             .map(|spans| spans.total_wasted_mj())
             .unwrap_or(0.0);
-        let bytes = sink
-            .map(|s| s.borrow().get_ref().clone())
-            .unwrap_or_default();
-        if let Some(dir) = jsonl {
+        if let (Some(dir), Some(sink)) = (jsonl, &sink) {
             let path = dir.join(format!("{}.jsonl", slug(&spec.label)));
-            std::fs::write(&path, &bytes).expect("write JSONL output file");
-        }
-        if let (Some(cache), Some(key)) = (cache, key) {
-            let summary = JsonValue::Obj(vec![
-                ("label".into(), JsonValue::Str(spec.label.clone())),
-                ("app_power_mw".into(), JsonValue::Num(run.app_power_mw())),
-                ("wasted_mj".into(), JsonValue::Num(wasted_mj)),
-            ]);
-            if let Err(e) = cache.store(key, &summary, &bytes) {
-                eprintln!("warning: cache store failed for {}: {e}", spec.label);
-            }
+            std::fs::write(&path, sink.borrow().get_ref()).expect("write JSONL output file");
         }
         (run.app_power_mw(), wasted_mj)
     })
@@ -155,22 +112,6 @@ fn main() {
         .threads
         .map(ScenarioRunner::with_threads)
         .unwrap_or_default();
-    let cache = if flags.cache {
-        let dir = ResultCache::default_dir();
-        match ResultCache::open(&dir) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!(
-                    "warning: cannot open result cache at {}: {e}",
-                    dir.display()
-                );
-                None
-            }
-        }
-    } else {
-        None
-    };
-    let rev = build_rev();
     let cases = table5_cases();
 
     let mut matrix = Matrix::new(RUN_LENGTH).seeds((0..seeds).map(|s| 42 + s).collect());
@@ -182,17 +123,7 @@ fn main() {
         matrix = matrix.policy(policy.label(), Arc::new(move || policy.build()));
     }
     let specs = matrix.specs();
-    let results = run_matrix(
-        &specs,
-        &runner,
-        jsonl.as_deref(),
-        attribution,
-        cache.as_ref(),
-        &rev,
-    );
-    if let Some(cache) = &cache {
-        eprintln!("table5 cache: {} (rev {rev})", cache.stats());
-    }
+    let results = run_matrix(&specs, &runner, jsonl.as_deref(), attribution);
     // Row-major: case → policy → seed. Average each (case, policy) cell.
     let n_pol = PolicyKind::TABLE5.len();
     let cell = |case: usize, policy: usize| -> (f64, f64) {

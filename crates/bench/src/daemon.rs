@@ -358,21 +358,6 @@ impl CellRequest {
         Ok((spec, plan, case.fingerprint))
     }
 
-    /// The cell's cache key under `rev` — exactly the key the batch
-    /// [`run_matrix`](crate::conformance::run_matrix) path uses, so daemon
-    /// and batch share warm entries.
-    ///
-    /// # Errors
-    ///
-    /// Reports an unresolvable app name.
-    pub fn key(&self, rev: &str) -> Result<CacheKey, String> {
-        let (spec, plan, fingerprint) = self.resolve()?;
-        Ok(match &fingerprint {
-            Some(fp) => corpus_cell_key(&spec, fp, &plan, self.cold_restart, rev),
-            None => cell_key(&spec, &plan, self.cold_restart, rev),
-        })
-    }
-
     /// Executes the cell in-process — the one-shot reference path the
     /// byte-identity tests compare daemon responses against.
     ///
@@ -930,9 +915,22 @@ impl DaemonClient {
     ///
     /// I/O failures, including the daemon closing the connection.
     pub fn request_line(&mut self, line: &str) -> io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        let sent = self
+            .writer
+            .write_all(line.as_bytes())
+            .and_then(|()| self.writer.write_all(b"\n"))
+            .and_then(|()| self.writer.flush());
+        match sent {
+            Ok(()) => self.read_response(),
+            // An oversized request makes the daemon answer with an error and
+            // close while we are still writing; its answer is already in our
+            // receive buffer, and it says more than the broken pipe does.
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.read_response().map_err(|_| e),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn read_response(&mut self) -> io::Result<String> {
         let mut resp = String::new();
         let n = self.reader.read_line(&mut resp)?;
         if n == 0 {
@@ -992,7 +990,7 @@ impl DaemonClient {
     }
 }
 
-// ---- in-process spawn (tests, thin-client fallback, throughput) ----------
+// ---- in-process spawn (tests, benchmarks) --------------------------------
 
 /// A daemon serving on a background thread of this process.
 pub struct RunningDaemon {
@@ -1136,15 +1134,21 @@ mod tests {
         let mut config = DaemonConfig::scratch("big");
         config.cache_dir = None;
         let daemon = spawn(config).expect("daemon binds");
-        let mut client = daemon.client().expect("client connects");
-        let huge = format!(
-            r#"{{"v":1,"cmd":"ping","pad":"{}"}}"#,
-            "x".repeat(MAX_REQUEST_BYTES)
-        );
-        let line = client.request_line(&huge).expect("error response arrives");
-        assert!(line.contains("exceeds"), "got {line}");
-        // The daemon dropped this connection; a fresh one still works.
-        assert!(client.request_line(r#"{"v":1,"cmd":"ping"}"#).is_err());
+        // Just over the cap, and far past it: the daemon answers and closes
+        // while the client is still writing, so the reply must win over the
+        // broken pipe.
+        for pad in [MAX_REQUEST_BYTES, 4 << 20] {
+            let mut client = daemon.client().expect("client connects");
+            let huge = format!(r#"{{"v":1,"cmd":"ping","pad":"{}"}}"#, "x".repeat(pad));
+            let line = client.request_line(&huge).expect("error response arrives");
+            assert!(
+                line.contains(&format!("request exceeds {MAX_REQUEST_BYTES} bytes")),
+                "got {line}"
+            );
+            // The daemon dropped this connection.
+            assert!(client.request_line(r#"{"v":1,"cmd":"ping"}"#).is_err());
+        }
+        // A fresh connection still works.
         let mut fresh = daemon.client().expect("fresh client connects");
         ping_ok(&mut fresh);
         daemon.shutdown().expect("clean shutdown");

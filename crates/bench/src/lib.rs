@@ -184,21 +184,6 @@ pub fn reduction_pct(baseline: f64, treated: f64) -> f64 {
     100.0 * leaseos_simkit::stats::reduction_ratio(baseline, treated)
 }
 
-/// Convenience averaging over seeds for Table 5 cases.
-pub trait BuggyCaseExt {
-    /// Mean app power over `seeds` runs (seeds 42, 43, …).
-    fn mean_power(&self, policy: PolicyKind, seeds: u64) -> f64;
-}
-
-impl BuggyCaseExt for BuggyCase {
-    fn mean_power(&self, policy: PolicyKind, seeds: u64) -> f64 {
-        let total: f64 = (0..seeds.max(1))
-            .map(|s| run_case(self, policy, 42 + s).app_power_mw)
-            .sum();
-        total / seeds.max(1) as f64
-    }
-}
-
 /// A minimal fixed-width text-table builder for harness output.
 #[derive(Debug, Default)]
 pub struct TextTable {

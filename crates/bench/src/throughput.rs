@@ -1,94 +1,28 @@
-//! Kernel events-per-second throughput workloads and the pinned gate.
+//! The kernel workload `leaseos-perf`'s `kernel_churn` arm times.
 //!
-//! Three canonical workloads exercise the kernel's hot paths from three
-//! angles:
-//!
-//! * **settle-heavy** — a stable population of holders (wakelock + sensor
-//!   each) ticking timers: every event re-settles device state and power
-//!   attribution, so the cost of one settle dominates;
-//! * **churn-heavy** — apps that acquire, work, and close wakelock + GPS
-//!   objects several times a second: object tables grow, runtimes install
-//!   and tear down, and every acquire re-walks the holder sets;
-//! * **matrix-cell** — the whole 20-app Table 5 catalog in one kernel under
-//!   LeaseOS, the shape of one conformance-matrix cell.
-//!
-//! [`measure`] runs one workload and reports events per wall-clock second;
-//! `BENCH_throughput.json` (regenerated by the `throughput` binary) pins the
-//! numbers so CI can fail on a >20 % regression. Wall-clock numbers are
-//! machine-dependent — the gate compares runs *on the same machine* (CI
-//! regenerates the local reference via `--check`'s measured run against the
-//! checked-in file only as a soft floor).
+//! **churn-heavy** — apps that acquire, work, and close wakelock + GPS
+//! objects several times a second: object tables grow, runtimes install and
+//! tear down, and every acquire re-walks the holder sets. The workload's
+//! seed-42 digest is pinned in `leaseos-perf`, so its kernel must stay
+//! byte-identical.
 
-use std::time::Instant;
-
-use leaseos_apps::buggy::table5_cases;
 use leaseos_framework::{AppCtx, AppEvent, AppModel, Kernel, ObjId, Token};
-use leaseos_simkit::{DeviceProfile, Environment, JsonValue, SimDuration, SimTime};
+use leaseos_simkit::{DeviceProfile, Environment, SimDuration};
 
 use crate::PolicyKind;
 
-/// The three canonical workloads, in report order.
-pub const WORKLOADS: [Workload; 3] = [
-    Workload::SettleHeavy,
-    Workload::ChurnHeavy,
-    Workload::MatrixCell,
-];
-
-/// One throughput workload shape.
+/// One kernel workload shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// Stable holders, timer-driven settles.
-    SettleHeavy,
     /// Rapid acquire/work/close object churn.
     ChurnHeavy,
-    /// The 20-app Table 5 catalog under LeaseOS in one kernel.
-    MatrixCell,
 }
 
 impl Workload {
-    /// The workload's name (key in `BENCH_throughput.json`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Workload::SettleHeavy => "settle_heavy",
-            Workload::ChurnHeavy => "churn_heavy",
-            Workload::MatrixCell => "matrix_cell",
-        }
-    }
-
-    /// The simulated duration one full measurement runs for.
-    pub fn standard_length(self) -> SimDuration {
-        match self {
-            Workload::SettleHeavy => SimDuration::from_mins(10),
-            Workload::ChurnHeavy => SimDuration::from_mins(2),
-            Workload::MatrixCell => SimDuration::from_mins(5),
-        }
-    }
-
-    /// A shorter window for CI quick mode and the Criterion suite.
-    pub fn quick_length(self) -> SimDuration {
-        match self {
-            Workload::SettleHeavy => SimDuration::from_mins(2),
-            Workload::ChurnHeavy => SimDuration::from_secs(30),
-            Workload::MatrixCell => SimDuration::from_mins(1),
-        }
-    }
-
     /// Builds the workload's kernel, ready to run. Deterministic for a
     /// fixed seed; the measured run is `kernel.run_until(end)`.
     pub fn build(self, seed: u64) -> Kernel {
         match self {
-            Workload::SettleHeavy => {
-                let mut kernel = Kernel::new(
-                    DeviceProfile::pixel_xl(),
-                    Environment::new(),
-                    PolicyKind::Vanilla.build(),
-                    seed,
-                );
-                for _ in 0..8 {
-                    kernel.add_app(Box::new(SettleApp));
-                }
-                kernel
-            }
             Workload::ChurnHeavy => {
                 let mut kernel = Kernel::new(
                     DeviceProfile::pixel_xl(),
@@ -101,162 +35,6 @@ impl Workload {
                 }
                 kernel
             }
-            Workload::MatrixCell => {
-                let mut kernel = Kernel::new(
-                    DeviceProfile::pixel_xl(),
-                    Environment::new(),
-                    PolicyKind::LeaseOs.build(),
-                    seed,
-                );
-                for case in table5_cases() {
-                    kernel.add_app((case.build)());
-                }
-                kernel
-            }
-        }
-    }
-}
-
-/// One workload measurement. `events` is kernel events for the simulation
-/// workloads and requests served for the daemon arm; either way
-/// `events_per_sec` is the headline rate the baseline file pins.
-#[derive(Debug, Clone, Copy)]
-pub struct ThroughputReport {
-    /// The workload's key in `BENCH_throughput.json`.
-    pub name: &'static str,
-    /// Events (or requests) processed during the run.
-    pub events: u64,
-    /// Wall-clock seconds the run took.
-    pub wall_secs: f64,
-    /// The headline number: events per wall-clock second.
-    pub events_per_sec: f64,
-}
-
-/// The daemon arm's key in `BENCH_throughput.json`.
-pub const DAEMON_WORKLOAD: &str = "daemon_throughput";
-
-/// Runs `workload` for `length` of simulated time and measures events per
-/// wall-clock second. Only the `run_until` is timed; kernel construction is
-/// excluded.
-pub fn measure(workload: Workload, seed: u64, length: SimDuration) -> ThroughputReport {
-    let mut kernel = workload.build(seed);
-    let start = Instant::now();
-    kernel.run_until(SimTime::ZERO + length);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let events = kernel.events_processed();
-    ThroughputReport {
-        name: workload.name(),
-        events,
-        wall_secs,
-        events_per_sec: events as f64 / wall_secs.max(1e-9),
-    }
-}
-
-/// Measures sustained warm-cache `run-cell` queries per second against an
-/// in-process daemon: one cold request primes the cell, then `clients`
-/// concurrent connections each issue `requests_per_client` identical
-/// requests, every one answered from the in-memory front. Only the warm
-/// phase is timed; `events` is the total warm requests served.
-///
-/// # Panics
-///
-/// Panics if the daemon cannot bind its scratch socket or a request fails —
-/// this is a benchmark, and a broken daemon should fail it loudly.
-pub fn measure_daemon(clients: usize, requests_per_client: usize) -> ThroughputReport {
-    let daemon = crate::daemon::spawn(crate::daemon::DaemonConfig::scratch("tp"))
-        .expect("throughput daemon binds");
-    let fields = || {
-        vec![
-            ("app".to_owned(), JsonValue::Str("Torch".to_owned())),
-            ("minutes".to_owned(), JsonValue::Num(2.0)),
-        ]
-    };
-    let mut prime = daemon.client().expect("prime client connects");
-    prime
-        .call("run-cell", fields())
-        .expect("priming run-cell succeeds");
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..clients {
-            scope.spawn(|| {
-                let mut client = daemon.client().expect("warm client connects");
-                for _ in 0..requests_per_client {
-                    client
-                        .call("run-cell", fields())
-                        .expect("warm run-cell succeeds");
-                }
-            });
-        }
-    });
-    let wall_secs = start.elapsed().as_secs_f64();
-    daemon.shutdown().expect("daemon drains cleanly");
-
-    let events = (clients * requests_per_client) as u64;
-    ThroughputReport {
-        name: DAEMON_WORKLOAD,
-        events,
-        wall_secs,
-        events_per_sec: events as f64 / wall_secs.max(1e-9),
-    }
-}
-
-/// Renders the reports as the `BENCH_throughput.json` document.
-pub fn render_json(reports: &[ThroughputReport], seed: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"kernel-throughput/v1\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str("  \"workloads\": {\n");
-    for (i, r) in reports.iter().enumerate() {
-        let comma = if i + 1 == reports.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    \"{}\": {{ \"events\": {}, \"wall_secs\": {:.3}, \"events_per_sec\": {:.0} }}{comma}\n",
-            r.name,
-            r.events,
-            r.wall_secs,
-            r.events_per_sec,
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Reads the pinned events-per-second for the workload named `name` out of
-/// a parsed `BENCH_throughput.json`.
-pub fn baseline_events_per_sec(doc: &JsonValue, name: &str) -> Option<f64> {
-    doc.get("workloads")?
-        .get(name)?
-        .get("events_per_sec")?
-        .as_f64()
-}
-
-// ---- workload app models ---------------------------------------------------
-
-/// Stable holder: one wakelock, one 500 ms sensor, a 1 s timer. Every
-/// delivery re-settles device state with an unchanging holder population.
-struct SettleApp;
-
-impl AppModel for SettleApp {
-    fn name(&self) -> &str {
-        "settle"
-    }
-
-    fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
-        ctx.set_activity_alive(true);
-        ctx.acquire_wakelock();
-        ctx.register_sensor(SimDuration::from_millis(500));
-        ctx.schedule(SimDuration::from_secs(1), 1);
-    }
-
-    fn on_event(&mut self, ctx: &mut AppCtx<'_>, event: AppEvent) {
-        match event {
-            AppEvent::Timer(_) => {
-                ctx.note_ui_update();
-                ctx.schedule(SimDuration::from_secs(1), 1);
-            }
-            AppEvent::SensorReading { .. } => ctx.note_ui_update(),
-            _ => {}
         }
     }
 }
@@ -295,39 +73,5 @@ impl AppModel for ChurnApp {
             ctx.do_work(SimDuration::from_millis(5), 1_000 + self.tick);
             ctx.schedule(SimDuration::from_millis(200), 0);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workloads_run_and_report() {
-        for workload in [Workload::SettleHeavy, Workload::ChurnHeavy] {
-            let r = measure(workload, 42, SimDuration::from_secs(5));
-            assert!(r.events > 0, "{} produced no events", workload.name());
-            assert!(r.events_per_sec > 0.0);
-        }
-    }
-
-    #[test]
-    fn workload_event_counts_are_deterministic() {
-        let a = measure(Workload::ChurnHeavy, 42, SimDuration::from_secs(5));
-        let b = measure(Workload::ChurnHeavy, 42, SimDuration::from_secs(5));
-        assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn json_round_trips_through_baseline_reader() {
-        let reports = [ThroughputReport {
-            name: Workload::ChurnHeavy.name(),
-            events: 1000,
-            wall_secs: 0.5,
-            events_per_sec: 2000.0,
-        }];
-        let doc = JsonValue::parse(&render_json(&reports, 42)).unwrap();
-        assert_eq!(baseline_events_per_sec(&doc, "churn_heavy"), Some(2000.0));
-        assert_eq!(baseline_events_per_sec(&doc, "settle_heavy"), None);
     }
 }

@@ -1,5 +1,7 @@
 //! End-to-end tests of the `daemon` binary itself: server lifecycle under
 //! SIGINT, the protocol `shutdown` command, and the scripting client mode.
+//! That mode is the only client: the one-shot binaries reject `--connect`,
+//! and `table5` rejects `--cache`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -110,6 +112,30 @@ fn client_mode_round_trips_and_shutdown_command_stops_the_server() {
         .expect("client mode runs");
     assert_eq!(bad.status.code(), Some(1), "error responses exit 1");
 
+    // `--extract output` prints a daemon-served report byte-identical to
+    // the one-shot binary's.
+    let served = Command::new(env!("CARGO_BIN_EXE_daemon"))
+        .args(["--connect", &socket_arg])
+        .args([
+            "--request",
+            r#"{"v":1,"cmd":"dumpsys","app":"Facebook","policy":"vanilla","seed":42,"minutes":5}"#,
+        ])
+        .args(["--extract", "output"])
+        .output()
+        .expect("client mode runs");
+    assert!(served.status.success(), "dumpsys request exits 0");
+    let oneshot = Command::new(env!("CARGO_BIN_EXE_dumpsys"))
+        .args(["--app", "Facebook", "--policy", "vanilla"])
+        .args(["--seed", "42", "--mins", "5"])
+        .output()
+        .expect("dumpsys runs");
+    assert!(!oneshot.stdout.is_empty(), "dumpsys prints a report");
+    assert_eq!(
+        String::from_utf8_lossy(&served.stdout),
+        String::from_utf8_lossy(&oneshot.stdout),
+        "daemon-served dumpsys must match the one-shot binary"
+    );
+
     // The protocol shutdown command drains the server to a clean exit.
     let stop = Command::new(env!("CARGO_BIN_EXE_daemon"))
         .args(["--connect", &socket_arg])
@@ -125,4 +151,20 @@ fn client_mode_round_trips_and_shutdown_command_stops_the_server() {
         output.status
     );
     assert!(!socket.exists(), "socket file must be removed on exit");
+}
+
+#[test]
+fn one_shot_binaries_reject_connect_and_cache_flags() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_explore"), &["--connect", "x"][..]),
+        (env!("CARGO_BIN_EXE_dumpsys"), &["--connect", "x"]),
+        (env!("CARGO_BIN_EXE_table5"), &["--cache"]),
+    ] {
+        let out = Command::new(bin).args(args).output().expect("binary runs");
+        assert!(
+            !out.status.success(),
+            "{bin} {args:?} must exit non-zero, got {:?}",
+            out.status
+        );
+    }
 }

@@ -628,8 +628,8 @@ impl Kernel {
         self.apps.iter().map(|s| (s.id, s.name.as_str()))
     }
 
-    /// Total number of kernel events processed so far (the events-per-
-    /// second numerator of the throughput benchmarks).
+    /// Total number of kernel events processed so far (the unit of work
+    /// `leaseos-perf`'s `kernel_churn` workload counts).
     pub fn events_processed(&self) -> u64 {
         self.queue.events_processed()
     }

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod attribution;
 mod battery;
 mod device;
 mod energy;
@@ -64,7 +63,6 @@ pub mod telemetry;
 mod time;
 mod trace;
 
-pub use attribution::{AttributionLedger, AttributionRow};
 pub use battery::{battery_life, Battery};
 pub use device::DeviceProfile;
 pub use energy::{Channel, Consumer, EnergyMeter};
@@ -80,8 +78,7 @@ pub use power::{ComponentKind, ComponentState, CpuState, GpsState, PowerTable, W
 pub use queue::{EventHandle, EventQueue};
 pub use rng::{streams, SimRng};
 pub use telemetry::{
-    AggregateSink, EventKind, Histogram, JsonValue, JsonlSink, RingBufferSink, Sink, TelemetryBus,
-    TelemetryEvent,
+    EventKind, Histogram, JsonValue, JsonlSink, RingBufferSink, Sink, TelemetryBus, TelemetryEvent,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{SeriesSet, Span, SpanLedger, SpanNote, SpanScope, TimeSeries};

@@ -15,8 +15,7 @@
 //!   is attached, so the disabled path performs **zero allocation** — the
 //!   closure handed to [`TelemetryBus::emit`] is never invoked.
 //! * [`Sink`] — consumers: a bounded [`RingBufferSink`] (live trace, as
-//!   `explore --trace` uses), an [`AggregateSink`] with per-kind counters
-//!   and value [`Histogram`]s, and a [`JsonlSink`] that streams events as
+//!   `explore --trace` uses) and a [`JsonlSink`] that streams events as
 //!   JSON lines for offline analysis.
 //!
 //! Serialization is a hand-rolled, dependency-free JSON writer/parser
@@ -25,7 +24,6 @@
 //! harness determinism test relies on.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
@@ -332,18 +330,6 @@ impl TelemetryEvent {
             | TelemetryEvent::FaultInjected { at, .. }
             | TelemetryEvent::Attribution { at, .. }
             | TelemetryEvent::SpanSummary { at, .. } => at,
-        }
-    }
-
-    /// The named numeric payload this event carries, if any — what
-    /// [`AggregateSink`] feeds into its histograms.
-    pub fn metric(&self) -> Option<(&'static str, f64)> {
-        match *self {
-            TelemetryEvent::TermRenewed { term_s, .. } => Some(("term_s", term_s)),
-            TelemetryEvent::TermDeferred { defer_s, .. } => Some(("defer_s", defer_s)),
-            TelemetryEvent::EnergySnapshot { energy_mj, .. } => Some(("energy_mj", energy_mj)),
-            TelemetryEvent::Attribution { wasted_mj, .. } => Some(("wasted_mj", wasted_mj)),
-            _ => None,
         }
     }
 
@@ -862,52 +848,6 @@ impl Histogram {
     }
 }
 
-/// Counter + histogram aggregation over the event stream.
-///
-/// Counts every event per kind and feeds each event's
-/// [`TelemetryEvent::metric`] into a named [`Histogram`].
-#[derive(Debug, Default)]
-pub struct AggregateSink {
-    counts: [u64; EventKind::COUNT],
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
-impl AggregateSink {
-    /// An empty aggregate.
-    pub fn new() -> Self {
-        AggregateSink::default()
-    }
-
-    /// Events of `kind` seen.
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    /// Total events seen.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The histogram for a metric name, if any values were recorded.
-    pub fn histogram(&self, metric: &str) -> Option<&Histogram> {
-        self.histograms.get(metric)
-    }
-
-    /// Metric names with recorded values, sorted.
-    pub fn metrics(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.histograms.keys().copied()
-    }
-}
-
-impl Sink for AggregateSink {
-    fn record(&mut self, event: &TelemetryEvent) {
-        self.counts[event.kind() as usize] += 1;
-        if let Some((name, value)) = event.metric() {
-            self.histograms.entry(name).or_default().record(value);
-        }
-    }
-}
-
 /// Streams each event as one JSON line into any writer.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
@@ -1289,40 +1229,22 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_counts_and_histograms() {
-        let mut agg = AggregateSink::new();
-        for i in 1..=4 {
-            agg.record(&TelemetryEvent::TermRenewed {
-                at: SimTime::from_secs(i),
-                lease: 1,
-                term_s: i as f64 * 10.0,
-            });
-        }
-        agg.record(&acquire(0, 0));
-        assert_eq!(agg.count(EventKind::TermRenewed), 4);
-        assert_eq!(agg.count(EventKind::ServiceAcquire), 1);
-        assert_eq!(agg.total(), 5);
-        let h = agg.histogram("term_s").expect("term_s histogram");
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.mean(), Some(25.0));
-        assert_eq!(h.min(), Some(10.0));
-        assert_eq!(h.max(), Some(40.0));
-        assert_eq!(agg.metrics().collect::<Vec<_>>(), vec!["term_s"]);
-        assert!(agg.histogram("defer_s").is_none());
-    }
-
-    #[test]
     fn histogram_quantiles_are_monotone_and_bounded() {
         let mut h = Histogram::new();
         for v in [0.5, 1.0, 2.0, 4.0, 100.0, 1e6] {
             h.record(v);
         }
+        assert_eq!(h.count(), 6);
+        assert_eq!(h.mean(), Some(1_000_107.5 / 6.0));
+        assert_eq!(h.min(), Some(0.5));
+        assert_eq!(h.max(), Some(1e6));
         let q25 = h.quantile(0.25).unwrap();
         let q50 = h.quantile(0.5).unwrap();
         let q99 = h.quantile(0.99).unwrap();
         assert!(q25 <= q50 && q50 <= q99);
         assert!(q99 <= h.max().unwrap());
         assert_eq!(Histogram::new().quantile(0.5), None);
+        assert_eq!(Histogram::new().mean(), None);
     }
 
     #[test]
@@ -1474,7 +1396,6 @@ mod tests {
             lease: 4,
             defer_s: 25.0,
         };
-        assert_eq!(e.metric(), Some(("defer_s", 25.0)));
         assert_eq!(e.kind(), EventKind::TermDeferred);
         let text = format!("{e}");
         assert!(
