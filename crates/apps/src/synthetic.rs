@@ -156,13 +156,15 @@ impl AppModel for IntermittentMisbehaver {
 
 /// One interactive flow for the Figure 14 latency experiment: on `trigger`,
 /// the app performs its resource operation and work, then marks the UI
-/// updated. The harness reads [`InteractionFlow::last_latency`].
+/// updated. The harness reads [`InteractionFlow::mean_latency_ms`].
 #[derive(Debug)]
 pub struct InteractionFlow {
     resource: ResourceKind,
     started: Option<SimTime>,
     /// Latency of the last completed flow.
     pub last_latency: Option<SimDuration>,
+    /// Summed latency of every completed flow.
+    total_latency: SimDuration,
     /// Completed flows.
     pub completed: u64,
     lock: Option<ObjId>,
@@ -179,15 +181,24 @@ impl InteractionFlow {
             resource,
             started: None,
             last_latency: None,
+            total_latency: SimDuration::ZERO,
             completed: 0,
             lock: None,
         }
     }
 
+    /// Mean latency over the completed flows, ms (`None` before the first
+    /// completes).
+    pub fn mean_latency_ms(&self) -> Option<f64> {
+        (self.completed > 0).then(|| self.total_latency.as_millis() as f64 / self.completed as f64)
+    }
+
     fn finish(&mut self, ctx: &mut AppCtx<'_>) {
         ctx.note_ui_update();
         if let Some(start) = self.started.take() {
-            self.last_latency = Some(ctx.now() - start);
+            let latency = ctx.now() - start;
+            self.last_latency = Some(latency);
+            self.total_latency += latency;
             self.completed += 1;
         }
         // Next interaction in 10 s.

@@ -5,9 +5,11 @@
 //!
 //! Run: `cargo bench -p leaseos-bench --bench sim_engine`
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use leaseos_apps::buggy::table5_cases;
-use leaseos_bench::{run_case, PolicyKind};
+use leaseos_bench::{Matrix, PolicyKind, RUN_LENGTH};
 use leaseos_simkit::{ComponentKind, Consumer, EnergyMeter, EventQueue, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -47,10 +49,25 @@ fn bench_energy_meter(c: &mut Criterion) {
 }
 
 fn bench_full_case(c: &mut Criterion) {
-    let cases = table5_cases();
-    let torch = cases.iter().find(|case| case.name == "Torch").unwrap();
+    let torch = table5_cases()
+        .into_iter()
+        .find(|case| case.name == "Torch")
+        .unwrap();
+    let spec = Matrix::new(RUN_LENGTH)
+        .seeds(vec![1])
+        .app(
+            torch.name,
+            Arc::new(torch.build),
+            Arc::new(torch.environment),
+        )
+        .policy("leaseos", Arc::new(|| PolicyKind::LeaseOs.build()))
+        .specs()
+        .remove(0);
     c.bench_function("table5_torch_case_30min_leaseos", |b| {
-        b.iter(|| run_case(torch, PolicyKind::LeaseOs, 1))
+        b.iter(|| {
+            let run = spec.execute();
+            (run.app_power_mw(), run.system_power_mw())
+        })
     });
 }
 

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use leaseos_bench::conformance::{
     corpus_oracle_violations, evaluate, render_table, run_matrix, FaultArm, MatrixConfig,
 };
-use leaseos_bench::{build_rev, PolicyKind, ResultCache, ScenarioRunner};
+use leaseos_bench::{build_rev, slug, PolicyKind, ResultCache, ScenarioRunner};
 use leaseos_simkit::{MetricsRegistry, SimDuration};
 
 struct Flags {
@@ -140,18 +140,6 @@ fn parse_flags() -> Flags {
         }
     }
     flags
-}
-
-/// File-safe version of a scenario label.
-fn slug(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| match c {
-            '/' => '_',
-            ' ' => '-',
-            c => c,
-        })
-        .collect()
 }
 
 fn main() {

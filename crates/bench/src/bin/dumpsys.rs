@@ -7,7 +7,7 @@
 //!   `cargo run --release -p leaseos-bench --bin dumpsys -- \
 //!      --app Facebook --policy vanilla --seed 42 --mins 30`
 //! * **Recorded** — ingest a telemetry JSONL some earlier run wrote (e.g.
-//!   `table5 --jsonl dir/` or `chaos --jsonl dir/`):
+//!   `repro table5 --jsonl dir/` or `chaos --jsonl dir/`):
 //!   `cargo run --release -p leaseos-bench --bin dumpsys -- \
 //!      --jsonl dir/Facebook_w_o-lease_Pixel-XL_42.jsonl`
 //!

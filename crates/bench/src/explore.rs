@@ -14,10 +14,11 @@ use std::rc::Rc;
 
 use leaseos::LeaseOs;
 use leaseos_apps::buggy::table5_cases;
-use leaseos_apps::normal::{Haven, RunKeeper, Spotify};
 use leaseos_baselines::{DefDroid, Doze, PureThrottle, VanillaPolicy};
 use leaseos_framework::{AppModel, Kernel, ResourcePolicy};
-use leaseos_simkit::{DeviceProfile, Environment, RingBufferSink, Schedule, SimDuration, SimTime};
+use leaseos_simkit::{DeviceProfile, Environment, RingBufferSink, SimDuration, SimTime};
+
+use crate::harness::normal_apps;
 
 /// Everything one explore run needs, as data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,15 +94,11 @@ pub fn policy(name: &str) -> Box<dyn ResourcePolicy> {
 /// normal apps) to its model and trigger environment.
 pub fn app_and_env(name: &str) -> Option<(Box<dyn AppModel>, Environment)> {
     let lower = name.to_lowercase();
-    match lower.as_str() {
-        "runkeeper" => {
-            let mut env = Environment::unattended();
-            env.in_motion = Schedule::new(true);
-            return Some((Box::new(RunKeeper::new()), env));
-        }
-        "spotify" => return Some((Box::new(Spotify::new()), Environment::unattended())),
-        "haven" => return Some((Box::new(Haven::new()), Environment::unattended())),
-        _ => {}
+    if let Some((_, app, env)) = normal_apps()
+        .into_iter()
+        .find(|(normal, ..)| normal.to_lowercase() == lower)
+    {
+        return Some((app(), env()));
     }
     table5_cases()
         .into_iter()

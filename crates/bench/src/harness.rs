@@ -1,6 +1,6 @@
 //! Declarative scenario matrix + parallel runner.
 //!
-//! Every harness binary runs the same loop: build a kernel for some
+//! Every experiment runs the same loop: build a kernel for some
 //! (app × policy × device × environment × seed) combination, simulate for a
 //! fixed duration, and extract a few numbers. [`ScenarioSpec`] makes that
 //! combination a value, [`Matrix`] enumerates the cross product, and
@@ -9,15 +9,16 @@
 //! Determinism: every scenario owns its kernel and its seed, so results
 //! depend only on the spec — never on thread count or completion order. The
 //! runner returns results in spec order regardless of which worker finished
-//! first, which is what lets `table5 --threads 8` print byte-identical
+//! first, which is what lets `repro table5 --threads 8` print byte-identical
 //! output to the sequential run.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
+use leaseos_apps::normal::{Haven, RunKeeper, Spotify};
 use leaseos_framework::{AppId, AppModel, Kernel, ResourcePolicy};
-use leaseos_simkit::{DeviceProfile, Environment, MetricsRegistry, SimDuration, SimTime};
+use leaseos_simkit::{DeviceProfile, Environment, MetricsRegistry, Schedule, SimDuration, SimTime};
 
 /// Shareable app-model factory.
 pub type AppBuilder = Arc<dyn Fn() -> Box<dyn AppModel> + Send + Sync>;
@@ -80,9 +81,41 @@ impl ScenarioRun {
 
     /// Average system-wide power including modeled policy overhead, mW.
     pub fn system_power_mw(&self) -> f64 {
-        self.kernel.meter().avg_total_power_mw(self.length)
-            + self.kernel.policy_overhead_mj() / self.length.as_secs_f64()
+        system_power_mw(&self.kernel, self.length)
     }
+}
+
+/// Average system-wide power over the first `length` of the kernel's run,
+/// including the policy's modeled overhead, mW.
+pub(crate) fn system_power_mw(kernel: &Kernel, length: SimDuration) -> f64 {
+    kernel.meter().avg_total_power_mw(length) + kernel.policy_overhead_mj() / length.as_secs_f64()
+}
+
+/// The three §7.4 legitimate heavy apps as (name, app, environment):
+/// RunKeeper tracking a run (the user is in motion), Spotify streaming and
+/// Haven monitoring, both unattended.
+pub(crate) fn normal_apps() -> [(&'static str, AppBuilder, EnvBuilder); 3] {
+    [
+        (
+            "RunKeeper",
+            Arc::new(|| Box::new(RunKeeper::new()) as Box<dyn AppModel>),
+            Arc::new(|| {
+                let mut env = Environment::unattended();
+                env.in_motion = Schedule::new(true);
+                env
+            }),
+        ),
+        (
+            "Spotify",
+            Arc::new(|| Box::new(Spotify::new()) as Box<dyn AppModel>),
+            Arc::new(Environment::unattended),
+        ),
+        (
+            "Haven",
+            Arc::new(|| Box::new(Haven::new()) as Box<dyn AppModel>),
+            Arc::new(Environment::unattended),
+        ),
+    ]
 }
 
 impl ScenarioSpec {

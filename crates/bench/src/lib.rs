@@ -1,29 +1,14 @@
 //! # leaseos-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (see
-//! `DESIGN.md` §4 for the full index):
+//! Every table and figure of the paper's evaluation is an entry of the
+//! [`experiments`] registry, run by name through the `repro` binary
+//! (`repro <name> [args]`; `DESIGN.md` §4 maps each to the paper). The
+//! other binaries are tools: `chaos` (the conformance matrix), `fleet`
+//! (device populations), `dumpsys` (energy diagnosis), `explore` (ad-hoc
+//! scenarios) and `daemon` (the resident query service).
 //!
-//! | target | regenerates |
-//! |---|---|
-//! | `figures_1_to_4` | the §2.3 characterization traces (Figs. 1–4) |
-//! | `table1` | the misbehaviour applicability matrix |
-//! | `table2` | the 109-case prevalence study |
-//! | `fig09` | holding time vs lease term (both panels) |
-//! | `fig11` | active leases over a normal-usage hour + §7.2 stats |
-//! | `fig12` | waste-reduction ratio vs λ |
-//! | `fig13` | system power overhead across five usage settings |
-//! | `fig14` | end-to-end interaction latency |
-//! | `table4` | lease-operation latencies (summary; precise numbers come from the Criterion bench `lease_ops`) |
-//! | `table5` | the 20-app mitigation comparison |
-//! | `usability` | the §7.4 normal-app disruption comparison |
-//! | `battery` | the §7.6 battery-life end-to-end test |
-//! | `ablation` | design-choice isolation (escalation, ladder, window, utility) |
-//! | `threshold_sweep` | LHB utilization-threshold sensitivity |
-//! | `device_variance` | the §2.3 cross-phone variance observation |
-//! | `explore` | ad-hoc scenario CLI (`--list` for options) |
-//!
-//! This library holds what they share: policy construction, the
-//! run-one-case loop, and text-table rendering.
+//! This library holds what they share: policy construction, the scenario
+//! matrix and runner, the result cache, and text-table rendering.
 
 #![warn(missing_docs)]
 
@@ -31,6 +16,7 @@ pub mod cache;
 pub mod conformance;
 pub mod daemon;
 pub mod dumpsys;
+pub mod experiments;
 pub mod explore;
 pub mod fleet;
 pub mod harness;
@@ -45,10 +31,9 @@ pub use harness::{
 };
 
 use leaseos::LeaseOs;
-use leaseos_apps::buggy::BuggyCase;
 use leaseos_baselines::{DefDroid, Doze, PureThrottle, VanillaPolicy};
-use leaseos_framework::{Kernel, ResourcePolicy};
-use leaseos_simkit::{DeviceProfile, SimDuration, SimTime};
+use leaseos_framework::ResourcePolicy;
+use leaseos_simkit::SimDuration;
 
 /// The policies the evaluation compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,46 +123,8 @@ impl PolicyKind {
     }
 }
 
-/// Result of running one buggy case under one policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CaseRun {
-    /// Average app power over the run, mW.
-    pub app_power_mw: f64,
-    /// Average system-wide power, mW (including modeled policy overhead).
-    pub system_power_mw: f64,
-}
-
 /// The standard experiment length (the paper runs each for 30 minutes).
 pub const RUN_LENGTH: SimDuration = SimDuration::from_mins(30);
-
-/// Runs one Table 5 case under `policy` for [`RUN_LENGTH`] and reports the
-/// app's average power.
-pub fn run_case(case: &BuggyCase, policy: PolicyKind, seed: u64) -> CaseRun {
-    run_case_for(case, policy, seed, RUN_LENGTH)
-}
-
-/// Runs one Table 5 case for an explicit duration.
-pub fn run_case_for(
-    case: &BuggyCase,
-    policy: PolicyKind,
-    seed: u64,
-    length: SimDuration,
-) -> CaseRun {
-    let mut kernel = Kernel::new(
-        DeviceProfile::pixel_xl(),
-        (case.environment)(),
-        policy.build(),
-        seed,
-    );
-    let app = kernel.add_app((case.build)());
-    let end = SimTime::ZERO + length;
-    kernel.run_until(end);
-    CaseRun {
-        app_power_mw: kernel.avg_app_power_mw(app, length),
-        system_power_mw: kernel.meter().avg_total_power_mw(length)
-            + kernel.policy_overhead_mj() / length.as_secs_f64(),
-    }
-}
 
 /// Percentage reduction of `treated` relative to `baseline`.
 pub fn reduction_pct(baseline: f64, treated: f64) -> f64 {
@@ -256,6 +203,18 @@ impl TextTable {
     }
 }
 
+/// File-safe version of a scenario label (`/` → `_`, space → `-`).
+pub fn slug(label: &str) -> String {
+    label
+        .chars()
+        .map(|c| match c {
+            '/' => '_',
+            ' ' => '-',
+            c => c,
+        })
+        .collect()
+}
+
 /// Formats a float with one decimal.
 pub fn f1(v: f64) -> String {
     format!("{v:.1}")
@@ -270,6 +229,7 @@ pub fn f2(v: f64) -> String {
 mod tests {
     use super::*;
     use leaseos_apps::buggy::table5_cases;
+    use std::sync::Arc;
 
     #[test]
     fn policies_build_with_expected_names() {
@@ -302,11 +262,24 @@ mod tests {
 
     #[test]
     fn torch_case_reduction_matches_lambda_cap() {
-        let cases = table5_cases();
-        let torch = cases.iter().find(|c| c.name == "Torch").unwrap();
-        let base = run_case(torch, PolicyKind::Vanilla, 1);
-        let lease = run_case(torch, PolicyKind::LeaseOs, 1);
-        let red = reduction_pct(base.app_power_mw, lease.app_power_mw);
+        let torch = table5_cases()
+            .into_iter()
+            .find(|c| c.name == "Torch")
+            .unwrap();
+        let mut matrix = Matrix::new(RUN_LENGTH).seeds(vec![1]).app(
+            torch.name,
+            Arc::new(torch.build),
+            Arc::new(torch.environment),
+        );
+        for policy in [PolicyKind::Vanilla, PolicyKind::LeaseOs] {
+            matrix = matrix.policy(policy.cli_name(), Arc::new(move || policy.build()));
+        }
+        let power: Vec<f64> = matrix
+            .specs()
+            .iter()
+            .map(|spec| spec.execute().app_power_mw())
+            .collect();
+        let red = reduction_pct(power[0], power[1]);
         // Escalating deferrals push a permanent holder's reduction well past
         // the fixed-λ cap of 83 %.
         assert!(red > 90.0, "got {red}");

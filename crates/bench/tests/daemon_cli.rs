@@ -1,7 +1,7 @@
 //! End-to-end tests of the `daemon` binary itself: server lifecycle under
 //! SIGINT, the protocol `shutdown` command, and the scripting client mode.
 //! That mode is the only client: the one-shot binaries reject `--connect`,
-//! and `table5` rejects `--cache`.
+//! and `repro table5` rejects `--cache`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -158,7 +158,11 @@ fn one_shot_binaries_reject_connect_and_cache_flags() {
     for (bin, args) in [
         (env!("CARGO_BIN_EXE_explore"), &["--connect", "x"][..]),
         (env!("CARGO_BIN_EXE_dumpsys"), &["--connect", "x"]),
-        (env!("CARGO_BIN_EXE_table5"), &["--cache"]),
+        (env!("CARGO_BIN_EXE_repro"), &["table5", "--cache"]),
+        // `repro` also rejects unknown experiments and arguments.
+        (env!("CARGO_BIN_EXE_repro"), &["table1", "--bogus"]),
+        (env!("CARGO_BIN_EXE_repro"), &["fig12", "x"]),
+        (env!("CARGO_BIN_EXE_repro"), &["nosuch"]),
     ] {
         let out = Command::new(bin).args(args).output().expect("binary runs");
         assert!(

@@ -3,7 +3,7 @@
 //! The contract: a scenario's telemetry JSONL is a pure function of its
 //! spec (app, policy, device, environment, seed) — the number of worker
 //! threads the [`ScenarioRunner`] happens to use must not change a single
-//! byte. This is what makes `table5 --jsonl` output diffable across
+//! byte. This is what makes `repro table5 --jsonl` output diffable across
 //! machines and thread counts.
 
 use std::cell::RefCell;
