@@ -510,6 +510,31 @@ pub fn run_cell(spec: &ScenarioSpec, plan: &FaultPlan, cold_restart: bool) -> Ce
     }
 }
 
+/// A cell's execute-and-cache path, shared by [`run_matrix`] and the
+/// daemon's `run-cell`: load the entry under `key`, treat one that
+/// [`CellOutcome::from_summary`] rejects as a miss, and on a miss run
+/// [`run_cell`] and store the result (a failed store warns and does not
+/// fail the cell). The flag says whether the outcome was replayed from the
+/// cache.
+pub(crate) fn run_cell_cached(
+    cache: &ResultCache,
+    key: CacheKey,
+    spec: &ScenarioSpec,
+    plan: &FaultPlan,
+    cold_restart: bool,
+) -> (CellOutcome, bool) {
+    if let Some(entry) = cache.load(key) {
+        if let Ok(outcome) = CellOutcome::from_summary(&entry.summary, entry.jsonl) {
+            return (outcome, true);
+        }
+    }
+    let outcome = run_cell(spec, plan, cold_restart);
+    if let Err(e) = cache.store(key, &outcome.summary_json(), &outcome.jsonl) {
+        eprintln!("warning: cache store failed for {}: {e}", spec.label);
+    }
+    (outcome, false)
+}
+
 /// Runs (or replays) the whole matrix.
 ///
 /// With a cache, each cell is looked up by [`cell_key`] first; hits replay
@@ -566,25 +591,14 @@ pub fn run_matrix(
     let cells = runner.run(&specs, |i, spec| {
         let (si, ai, ref corpus_fp) = spec_plan[i];
         let plan = &plans[si][ai];
-        if let Some(cache) = cache {
-            let key = match corpus_fp {
-                Some(fp) => corpus_cell_key(spec, fp, plan, cold_restart, rev),
-                None => cell_key(spec, plan, cold_restart, rev),
-            };
-            if let Some(entry) = cache.load(key) {
-                if let Ok(outcome) = CellOutcome::from_summary(&entry.summary, entry.jsonl) {
-                    return outcome;
-                }
-                // Undecodable payload: fall through and re-execute.
-            }
-            let outcome = run_cell(spec, plan, cold_restart);
-            if let Err(e) = cache.store(key, &outcome.summary_json(), &outcome.jsonl) {
-                eprintln!("warning: cache store failed for {}: {e}", spec.label);
-            }
-            outcome
-        } else {
-            run_cell(spec, plan, cold_restart)
-        }
+        let Some(cache) = cache else {
+            return run_cell(spec, plan, cold_restart);
+        };
+        let key = match corpus_fp {
+            Some(fp) => corpus_cell_key(spec, fp, plan, cold_restart, rev),
+            None => cell_key(spec, plan, cold_restart, rev),
+        };
+        run_cell_cached(cache, key, spec, plan, cold_restart).0
     });
 
     Ok(MatrixRun {

@@ -1,13 +1,14 @@
 //! The resident simulation daemon: a long-running service on a Unix
-//! socket that keeps the scenario harness, the worker pool, and one
-//! in-memory result-cache front warm across requests.
+//! socket that keeps the metrics registry and one in-memory result front
+//! (the flight map) warm across requests.
 //!
 //! Every other front end in this crate is a one-shot batch bin; the paper's
 //! LeaseOS is a long-lived OS service fielding continuous lease decisions,
-//! and this module is that serving shape for the harness — concurrent
-//! clients multiplexed across one [`WorkerPool`], with repeated cell
-//! queries answered from memory (no process startup, no disk) and served
-//! byte-identically to the batch path.
+//! and this module is that serving shape for the harness. Each client
+//! connection gets a thread that runs its own requests; a permit gate lets
+//! at most [`DaemonConfig::threads`] of them simulate at once. Repeated
+//! queries are answered from memory (no process startup, no disk) and
+//! served byte-identically to the batch path.
 //!
 //! # Protocol (version 1)
 //!
@@ -35,19 +36,28 @@
 //! | `metrics` | — | `{"output":"<prometheus text>"}` |
 //! | `shutdown` | — | `{"draining":true}`; then drain in-flight, refuse new connections, exit |
 //!
+//! `minutes` may be at most `u64::MAX / 60_000` (the most a simulated
+//! duration can hold) and `mean_secs` must be positive; anything else is
+//! refused at decode.
+//!
 //! # Single-flight semantics
 //!
-//! Identical concurrent cold requests (same cache key) execute **once**:
-//! the first caller becomes the leader, runs the cell on the pool, and
-//! publishes the result (or its error) to every waiter; later callers of a
-//! published key hit the in-memory front without touching the pool. Each
-//! `run-cell` is accounted to exactly one of
-//! `daemon_cell_mem_hits_total`, `daemon_cell_joined_total`,
-//! `daemon_cell_disk_loads_total`, or `daemon_cell_executions_total`.
+//! One flight map holds a flight per cache key. Identical concurrent cold
+//! requests execute **once**: the first caller becomes the leader, runs
+//! the producer under a gate permit, and publishes the result (or its
+//! error) to every waiter; a finished flight *is* the memory front, so
+//! later callers of that key are answered without a permit. A producer
+//! that returns an error or panics is answered as `ok:false` to the leader
+//! and every follower and leaves the map, so no failure is remembered and
+//! the next request for the key runs again. Each `run-cell` is accounted
+//! to exactly one of `daemon_cell_mem_hits_total`,
+//! `daemon_cell_joined_total`, `daemon_cell_disk_loads_total`, or
+//! `daemon_cell_executions_total`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -59,11 +69,11 @@ use leaseos_simkit::{FaultPlan, JsonValue, MetricsRegistry, SimDuration};
 
 use crate::cache::{build_rev, CacheKey, CacheStats, KeyBuilder, ResultCache};
 use crate::conformance::{
-    cell_key, corpus_cell_key, resolve_case, run_cell, CellOutcome, FaultArm,
+    cell_key, corpus_cell_key, resolve_case, run_cell, run_cell_cached, CellOutcome, FaultArm,
 };
 use crate::dumpsys::{self, Format};
 use crate::explore::{self, ExploreParams};
-use crate::harness::WorkerPool;
+use crate::harness::resolve_threads;
 use crate::{PolicyKind, ScenarioSpec};
 
 /// The protocol version this daemon speaks (the request `v` field).
@@ -72,6 +82,10 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// Hard cap on one request line. Longer lines are rejected with a
 /// structured error and the connection is closed.
 pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// The largest `minutes` a request may ask for: the most
+/// [`SimDuration::from_mins`] can represent.
+const MAX_MINUTES: u64 = u64::MAX / 60_000;
 
 /// How often blocked reads and the accept loop re-check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
@@ -85,7 +99,9 @@ const SHUTDOWN_GRACE_POLLS: u32 = 40;
 pub struct DaemonConfig {
     /// The Unix socket path to listen on.
     pub socket: PathBuf,
-    /// Worker threads for cell execution (0 = available parallelism).
+    /// How many requests may execute at once (0 = available parallelism).
+    /// Each connection runs its own requests on its own thread; answers
+    /// from memory and waits on another request's execution do not count.
     pub threads: usize,
     /// On-disk cache directory; `None` serves from memory only.
     pub cache_dir: Option<PathBuf>,
@@ -109,7 +125,7 @@ impl DaemonConfig {
     }
 
     /// A throwaway config for tests: a unique temp socket and a fresh,
-    /// equally unique cache directory, two worker threads. Keep `tag`
+    /// equally unique cache directory, two threads. Keep `tag`
     /// short — Unix socket paths have a ~100-byte budget.
     pub fn scratch(tag: &str) -> DaemonConfig {
         let n = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -123,9 +139,9 @@ impl DaemonConfig {
     }
 }
 
-/// Per-key rendezvous for concurrent identical requests: the leader
-/// publishes its result (success *or* error, so followers can never hang
-/// on a failed leader) and wakes everyone.
+/// One key's production, and once it succeeds its memory-front entry. The
+/// leader publishes its result (success *or* error, so followers can never
+/// hang on a failed leader) and wakes everyone waiting.
 #[derive(Default)]
 struct Flight {
     done: Mutex<Option<Result<Arc<JsonValue>, String>>>,
@@ -141,6 +157,56 @@ enum Served {
     Joined,
     /// This caller was the leader and produced the value.
     Produced,
+}
+
+/// Caps how many producers run at once. Connection threads run their own
+/// requests; a leader takes a permit for its producer and gives it back on
+/// every exit path, a panic included. Each completed run records
+/// `harness_cells_total` and `harness_cell_wall_ms` like a batch cell.
+struct Gate {
+    free: Mutex<usize>,
+    freed: Condvar,
+    cells: Counter,
+    wall_ms: HistogramHandle,
+}
+
+impl Gate {
+    /// A gate of `threads` permits (0 selects available parallelism),
+    /// reported as the `harness_threads` gauge.
+    fn new(threads: usize, registry: &MetricsRegistry) -> Gate {
+        let threads = resolve_threads(threads);
+        registry.set_gauge("harness_threads", threads as f64);
+        Gate {
+            free: Mutex::new(threads),
+            freed: Condvar::new(),
+            cells: registry.counter("harness_cells_total"),
+            wall_ms: registry.histogram("harness_cell_wall_ms"),
+        }
+    }
+
+    /// Runs `produce` under a permit, waiting for one while all are taken.
+    /// A panic is caught before the permit is returned and comes back as
+    /// the `Err` payload.
+    fn run<T>(&self, produce: impl FnOnce() -> T) -> std::thread::Result<T> {
+        let mut free = self
+            .freed
+            .wait_while(lock(&self.free, "gate"), |free| *free == 0)
+            .unwrap_or_else(|_| panic!("daemon gate lock poisoned"));
+        *free -= 1;
+        drop(free);
+        let start = Instant::now();
+        // A producer touches only atomic counters and the cache's
+        // temp-file writes, so a panic leaves no shared state half-updated.
+        let value = panic::catch_unwind(AssertUnwindSafe(produce));
+        *lock(&self.free, "gate") += 1;
+        self.freed.notify_one();
+        if value.is_ok() {
+            self.cells.inc();
+            self.wall_ms
+                .observe(start.elapsed().as_secs_f64() * 1_000.0);
+        }
+        value
+    }
 }
 
 /// Registry handles pre-resolved once at startup so the per-request path
@@ -180,13 +246,36 @@ struct Shared {
     counters: DaemonCounters,
     cache: Option<ResultCache>,
     rev: String,
-    mem: Mutex<HashMap<CacheKey, Arc<JsonValue>>>,
-    inflight: Mutex<HashMap<CacheKey, Arc<Flight>>>,
-    pool: WorkerPool,
+    flights: Mutex<HashMap<CacheKey, Arc<Flight>>>,
+    gate: Gate,
     shutdown: AtomicBool,
 }
 
 impl Shared {
+    /// The registry, the disk cache (when `cache_dir` is given) and an
+    /// empty flight map behind a gate of `threads` permits.
+    fn new(threads: usize, cache_dir: Option<PathBuf>) -> io::Result<Shared> {
+        let registry = Arc::new(MetricsRegistry::new());
+        registry.enable();
+        let cache = match cache_dir {
+            Some(dir) => {
+                let mut cache = ResultCache::open(dir)?;
+                cache.attach_metrics(&registry);
+                Some(cache)
+            }
+            None => None,
+        };
+        Ok(Shared {
+            counters: DaemonCounters::new(&registry),
+            gate: Gate::new(threads, &registry),
+            registry,
+            cache,
+            rev: build_rev(),
+            flights: Mutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+        })
+    }
+
     fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -201,10 +290,12 @@ fn lock<'a, T>(m: &'a Mutex<T>, what: &str) -> std::sync::MutexGuard<'a, T> {
         .unwrap_or_else(|_| panic!("daemon {what} lock poisoned"))
 }
 
-/// Produce-once: the in-memory front, then join any in-flight execution of
-/// the same key, then become the leader and run `produce`. Successful
-/// values are published to the memory front before the flight is retired,
-/// so a key is always answerable by exactly one of the three paths.
+/// Produce-once over the flight map: a finished flight answers from
+/// memory, an unfinished one is joined, and a missing key makes this caller
+/// the leader, which runs `produce` under a gate permit. A producer's error
+/// or panic reaches the leader and every follower, and its flight leaves
+/// the map before it is published, so the failure is never remembered and
+/// the next request for the key produces again.
 fn singleflight<F>(
     shared: &Shared,
     key: CacheKey,
@@ -213,44 +304,34 @@ fn singleflight<F>(
 where
     F: FnOnce() -> Result<JsonValue, String>,
 {
-    if let Some(hit) = lock(&shared.mem, "mem").get(&key) {
-        return (Ok(hit.clone()), Served::MemHit);
-    }
-    let (flight, leader) = {
-        let mut inflight = lock(&shared.inflight, "inflight");
-        // Re-check under the inflight lock: a leader publishes to `mem`
-        // before removing its flight, so missing both maps here really
-        // means nobody is producing this key.
-        if let Some(hit) = lock(&shared.mem, "mem").get(&key) {
-            return (Ok(hit.clone()), Served::MemHit);
-        }
-        match inflight.get(&key) {
-            Some(f) => (f.clone(), false),
-            None => {
-                let f = Arc::new(Flight::default());
-                inflight.insert(key, f.clone());
-                (f, true)
+    let (flight, leader) = match lock(&shared.flights, "flight map").entry(key) {
+        Entry::Occupied(entry) => {
+            // Failed flights leave the map unpublished, so a finished
+            // flight found here holds a value.
+            if let Some(value) = lock(&entry.get().done, "flight").clone() {
+                return (value, Served::MemHit);
             }
+            (entry.get().clone(), false)
         }
+        Entry::Vacant(entry) => (entry.insert(Arc::default()).clone(), true),
     };
     if !leader {
-        let mut done = lock(&flight.done, "flight");
-        while done.is_none() {
-            done = flight
-                .cv
-                .wait(done)
-                .unwrap_or_else(|_| panic!("daemon flight lock poisoned"));
-        }
-        let result = done.clone().expect("loop exits only when published");
-        return (result, Served::Joined);
+        let done = flight
+            .cv
+            .wait_while(lock(&flight.done, "flight"), |done| done.is_none())
+            .unwrap_or_else(|_| panic!("daemon flight lock poisoned"));
+        return (done.clone().expect("published"), Served::Joined);
     }
-    let result = produce().map(Arc::new);
-    if let Ok(value) = &result {
-        lock(&shared.mem, "mem").insert(key, value.clone());
+    let result = shared
+        .gate
+        .run(produce)
+        .unwrap_or_else(|_| Err("request panicked before producing a result".to_owned()))
+        .map(Arc::new);
+    if result.is_err() {
+        lock(&shared.flights, "flight map").remove(&key);
     }
     *lock(&flight.done, "flight") = Some(result.clone());
     flight.cv.notify_all();
-    lock(&shared.inflight, "inflight").remove(&key);
     (result, Served::Produced)
 }
 
@@ -273,6 +354,16 @@ fn get_u64(doc: &JsonValue, key: &str, default: u64) -> Result<u64, String> {
         Some(other) => Err(format!(
             "field {key:?} must be a non-negative integer, got {other:?}"
         )),
+    }
+}
+
+/// The `minutes` field, refused past [`MAX_MINUTES`].
+fn get_minutes(doc: &JsonValue, default: u64) -> Result<u64, String> {
+    match get_u64(doc, "minutes", default)? {
+        n if n > MAX_MINUTES => Err(format!(
+            "field \"minutes\" must be at most {MAX_MINUTES}, got {n}"
+        )),
+        n => Ok(n),
     }
 }
 
@@ -309,7 +400,8 @@ impl CellRequest {
     ///
     /// # Errors
     ///
-    /// Reports a missing `app` or any mistyped/unparseable field.
+    /// Reports a missing `app`, any mistyped/unparseable field, a
+    /// `minutes` past `u64::MAX / 60_000`, or a `mean_secs` of 0.
     pub fn from_request(doc: &JsonValue) -> Result<CellRequest, String> {
         let app = match doc.get("app") {
             Some(JsonValue::Str(s)) => s.clone(),
@@ -321,8 +413,11 @@ impl CellRequest {
             policy: PolicyKind::parse(&get_str(doc, "policy", "leaseos")?)?,
             seed: get_u64(doc, "seed", 42)?,
             arm: FaultArm::parse(&get_str(doc, "arm", "control")?)?,
-            minutes: get_u64(doc, "minutes", 30)?,
-            mean_secs: get_u64(doc, "mean_secs", 300)?,
+            minutes: get_minutes(doc, 30)?,
+            mean_secs: match get_u64(doc, "mean_secs", 300)? {
+                0 => return Err("field \"mean_secs\" must be positive, got 0".into()),
+                n => n,
+            },
             cold_restart: get_bool(doc, "cold_restart", false)?,
         })
     }
@@ -373,36 +468,24 @@ impl CellRequest {
 // ---- command handlers ----------------------------------------------------
 
 impl Shared {
-    fn run_cell_cmd(self: &Arc<Self>, doc: &JsonValue) -> Result<JsonValue, String> {
+    fn run_cell_cmd(&self, doc: &JsonValue) -> Result<JsonValue, String> {
         let req = CellRequest::from_request(doc)?;
         let (spec, plan, fingerprint) = req.resolve()?;
         let key = match &fingerprint {
             Some(fp) => corpus_cell_key(&spec, fp, &plan, req.cold_restart, &self.rev),
             None => cell_key(&spec, &plan, req.cold_restart, &self.rev),
         };
-        let pool_owner = self.clone();
-        let inner = self.clone();
-        let cold = req.cold_restart;
-        let (result, served) = singleflight(self, key, move || {
-            pool_owner.pool.run(move || {
-                if let Some(cache) = &inner.cache {
-                    if let Some(entry) = cache.load(key) {
-                        if let Ok(outcome) = CellOutcome::from_summary(&entry.summary, entry.jsonl)
-                        {
-                            inner.counters.disk_loads.inc();
-                            return outcome.summary_json();
-                        }
-                    }
-                }
-                let outcome = run_cell(&spec, &plan, cold);
-                inner.counters.executions.inc();
-                if let Some(cache) = &inner.cache {
-                    if let Err(e) = cache.store(key, &outcome.summary_json(), &outcome.jsonl) {
-                        eprintln!("warning: daemon cache store failed for {}: {e}", spec.label);
-                    }
-                }
-                outcome.summary_json()
-            })
+        let (result, served) = singleflight(self, key, || {
+            let (outcome, replayed) = match &self.cache {
+                Some(cache) => run_cell_cached(cache, key, &spec, &plan, req.cold_restart),
+                None => (run_cell(&spec, &plan, req.cold_restart), false),
+            };
+            if replayed {
+                self.counters.disk_loads.inc();
+            } else {
+                self.counters.executions.inc();
+            }
+            Ok(outcome.summary_json())
         });
         match served {
             Served::MemHit => self.counters.mem_hits.inc(),
@@ -412,11 +495,11 @@ impl Shared {
         result.map(|arc| (*arc).clone())
     }
 
-    fn dumpsys_cmd(self: &Arc<Self>, doc: &JsonValue) -> Result<JsonValue, String> {
+    fn dumpsys_cmd(&self, doc: &JsonValue) -> Result<JsonValue, String> {
         let app = get_str(doc, "app", "Facebook")?;
         let policy = PolicyKind::parse(&get_str(doc, "policy", "vanilla")?)?;
         let seed = get_u64(doc, "seed", 42)?;
-        let minutes = get_u64(doc, "minutes", 30)?;
+        let minutes = get_minutes(doc, 30)?;
         let format = Format::parse(&get_str(doc, "format", "text")?)?;
         if table5_case(&app).is_none() {
             return Err(format!("unknown Table 5 app {app:?}"));
@@ -429,30 +512,27 @@ impl Shared {
             .field("format", format!("{format:?}"))
             .field("rev", &self.rev)
             .finish();
-        let pool_owner = self.clone();
-        let (result, _) = singleflight(self, key, move || {
-            pool_owner.pool.run(move || {
-                let report = dumpsys::live_report(&app, policy, seed, minutes);
-                JsonValue::Obj(vec![
-                    ("scenario".into(), JsonValue::Str(report.scenario.clone())),
-                    (
-                        "violations".into(),
-                        JsonValue::Num(report.violations.len() as f64),
-                    ),
-                    ("output".into(), JsonValue::Str(report.render(format))),
-                ])
-            })
+        let (result, _) = singleflight(self, key, || {
+            let report = dumpsys::live_report(&app, policy, seed, minutes);
+            Ok(JsonValue::Obj(vec![
+                ("scenario".into(), JsonValue::Str(report.scenario.clone())),
+                (
+                    "violations".into(),
+                    JsonValue::Num(report.violations.len() as f64),
+                ),
+                ("output".into(), JsonValue::Str(report.render(format))),
+            ]))
         });
         result.map(|arc| (*arc).clone())
     }
 
-    fn explore_cmd(self: &Arc<Self>, doc: &JsonValue) -> Result<JsonValue, String> {
+    fn explore_cmd(&self, doc: &JsonValue) -> Result<JsonValue, String> {
         let defaults = ExploreParams::default();
         let params = ExploreParams {
             app: get_str(doc, "app", &defaults.app)?,
             policy: get_str(doc, "policy", &defaults.policy)?,
             device: get_str(doc, "device", &defaults.device)?,
-            minutes: get_u64(doc, "minutes", defaults.minutes)?,
+            minutes: get_minutes(doc, defaults.minutes)?,
             seed: get_u64(doc, "seed", defaults.seed)?,
             trace: get_u64(doc, "trace", defaults.trace as u64)? as usize,
             spans: get_bool(doc, "spans", defaults.spans)?,
@@ -467,12 +547,9 @@ impl Shared {
             .field("spans", params.spans)
             .field("rev", &self.rev)
             .finish();
-        let pool_owner = self.clone();
-        let (result, _) = singleflight(self, key, move || {
-            pool_owner.pool.run(move || {
-                explore::render(&params)
-                    .map(|output| JsonValue::Obj(vec![("output".into(), JsonValue::Str(output))]))
-            })?
+        let (result, _) = singleflight(self, key, || {
+            explore::render(&params)
+                .map(|output| JsonValue::Obj(vec![("output".into(), JsonValue::Str(output))]))
         });
         result.map(|arc| (*arc).clone())
     }
@@ -503,7 +580,7 @@ fn response(id: Option<&JsonValue>, outcome: Result<JsonValue, String>) -> Strin
 
 /// Handles one framed request line end to end; returns the response line
 /// and whether the daemon should begin shutting down after it is written.
-fn handle_request(shared: &Arc<Shared>, raw: &[u8]) -> (String, bool) {
+fn handle_request(shared: &Shared, raw: &[u8]) -> (String, bool) {
     shared.counters.requests.inc();
     shared.counters.inflight.inc();
     let start = Instant::now();
@@ -521,10 +598,7 @@ fn handle_request(shared: &Arc<Shared>, raw: &[u8]) -> (String, bool) {
 }
 
 #[allow(clippy::type_complexity)]
-fn dispatch(
-    shared: &Arc<Shared>,
-    raw: &[u8],
-) -> (Option<JsonValue>, Result<(JsonValue, bool), String>) {
+fn dispatch(shared: &Shared, raw: &[u8]) -> (Option<JsonValue>, Result<(JsonValue, bool), String>) {
     let text = match std::str::from_utf8(raw) {
         Ok(t) => t,
         Err(_) => return (None, Err("request is not UTF-8".into())),
@@ -540,7 +614,7 @@ fn dispatch(
     (id, dispatch_cmd(shared, &doc))
 }
 
-fn dispatch_cmd(shared: &Arc<Shared>, doc: &JsonValue) -> Result<(JsonValue, bool), String> {
+fn dispatch_cmd(shared: &Shared, doc: &JsonValue) -> Result<(JsonValue, bool), String> {
     match doc.get("v").and_then(JsonValue::as_f64) {
         Some(v) if v == PROTOCOL_VERSION as f64 => {}
         Some(v) => {
@@ -652,7 +726,7 @@ fn read_request_line(
     }
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) {
+fn handle_connection(shared: &Shared, stream: UnixStream) {
     shared.counters.connections.inc();
     // The read timeout is what lets this thread notice the shutdown flag;
     // the write timeout keeps a stuck client from wedging the drain.
@@ -745,25 +819,16 @@ impl DaemonHandle {
 
 impl Daemon {
     /// Binds the socket and builds the shared state (registry, disk cache,
-    /// worker pool). A stale socket file left by a crashed daemon is
-    /// detected (nothing accepts the probe connection) and replaced; a
-    /// *live* daemon on the same path is an [`io::ErrorKind::AddrInUse`]
-    /// error.
+    /// flight map, permit gate). A stale socket file left by a crashed
+    /// daemon is detected (nothing accepts the probe connection) and
+    /// replaced; a *live* daemon on the same path is an
+    /// [`io::ErrorKind::AddrInUse`] error.
     ///
     /// # Errors
     ///
     /// Socket binding or cache-directory creation failures.
     pub fn bind(config: DaemonConfig) -> io::Result<Daemon> {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.enable();
-        let cache = match config.cache_dir {
-            Some(dir) => {
-                let mut cache = ResultCache::open(dir)?;
-                cache.attach_metrics(&registry);
-                Some(cache)
-            }
-            None => None,
-        };
+        let shared = Arc::new(Shared::new(config.threads, config.cache_dir)?);
         if config.socket.exists() {
             match UnixStream::connect(&config.socket) {
                 Ok(_) => {
@@ -782,18 +847,6 @@ impl Daemon {
         }
         let listener = UnixListener::bind(&config.socket)?;
         listener.set_nonblocking(true)?;
-        let counters = DaemonCounters::new(&registry);
-        let pool = WorkerPool::new(config.threads, Some(registry.clone()));
-        let shared = Arc::new(Shared {
-            registry,
-            counters,
-            cache,
-            rev: build_rev(),
-            mem: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
-            pool,
-            shutdown: AtomicBool::new(false),
-        });
         Ok(Daemon {
             listener,
             shared,
@@ -1245,6 +1298,63 @@ mod tests {
             (1, 0),
             "warm run misses nothing"
         );
+    }
+
+    /// A leader whose producer panics or fails hands the same error to a
+    /// follower waiting on its flight, the key is not remembered, and the
+    /// next request for it produces again. The gate has one permit, so a
+    /// leaked permit would hang the retry.
+    #[test]
+    fn failed_flights_answer_every_waiter_and_are_not_remembered() {
+        let shared = Shared::new(1, None).expect("shared state builds");
+        for panics in [true, false] {
+            let key = KeyBuilder::new("flight-test")
+                .field("panics", panics)
+                .finish();
+            let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+            let (leader, follower) = std::thread::scope(|scope| {
+                let leader = scope.spawn(|| {
+                    singleflight(&shared, key, move || {
+                        entered_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        if panics {
+                            panic!("producer blew up");
+                        }
+                        Err("producer failed".to_owned())
+                    })
+                });
+                entered_rx.recv().expect("the leader starts producing");
+                let follower = scope
+                    .spawn(|| singleflight(&shared, key, || panic!("a follower never produces")));
+                // Release the leader once the follower holds the flight too
+                // (the map, the leader and the follower: three owners).
+                while Arc::strong_count(&lock(&shared.flights, "flight map")[&key]) < 3 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                release_tx.send(()).unwrap();
+                (leader.join().unwrap(), follower.join().unwrap())
+            });
+            let error = leader.0.clone().expect_err("the producer failed");
+            let want = if panics {
+                "request panicked before producing a result"
+            } else {
+                "producer failed"
+            };
+            assert_eq!(error, want);
+            assert_eq!(leader.1, Served::Produced);
+            assert_eq!(follower, (leader.0, Served::Joined));
+            assert!(!lock(&shared.flights, "flight map").contains_key(&key));
+
+            let retry = singleflight(&shared, key, || Ok(JsonValue::Bool(true)));
+            assert_eq!(
+                retry,
+                (Ok(Arc::new(JsonValue::Bool(true))), Served::Produced)
+            );
+            let again = singleflight(&shared, key, || panic!("a success is remembered"));
+            assert_eq!(again, (Ok(Arc::new(JsonValue::Bool(true))), Served::MemHit));
+        }
+        assert_eq!(shared.registry.counter("harness_cells_total").value(), 3);
     }
 
     #[test]

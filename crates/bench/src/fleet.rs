@@ -399,7 +399,7 @@ pub struct ShardRun {
 }
 
 /// Runs shard `shard` of `shards` — its contiguous cohort range — through
-/// the worker pool. `shard 0 of 1` is the whole fleet.
+/// the runner's workers. `shard 0 of 1` is the whole fleet.
 ///
 /// # Errors
 ///

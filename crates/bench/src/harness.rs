@@ -11,9 +11,14 @@
 //! runner returns results in spec order regardless of which worker finished
 //! first, which is what lets `repro table5 --threads 8` print byte-identical
 //! output to the sequential run.
+//!
+//! The runner is scoped to one batch and is the crate's only pool of
+//! workers. The resident daemon ([`crate::daemon`]) receives work one
+//! request at a time, so it keeps no workers: each connection thread runs
+//! its own request, and a permit gate caps how many run at once.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use leaseos_apps::normal::{Haven, RunKeeper, Spotify};
@@ -263,6 +268,18 @@ pub fn parse_thread_count(raw: &str) -> Result<usize, String> {
         .map_err(|e| format!("not a thread count: {e}"))
 }
 
+/// A worker count where `0` means "auto": the machine's available
+/// parallelism.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+}
+
 /// Runs batches of scenarios across worker threads.
 #[derive(Debug, Clone)]
 pub struct ScenarioRunner {
@@ -304,15 +321,8 @@ impl ScenarioRunner {
     /// A runner with an explicit worker count; `0` selects the machine's
     /// available parallelism.
     pub fn with_threads(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
         ScenarioRunner {
-            threads,
+            threads: resolve_threads(threads),
             metrics: None,
         }
     }
@@ -346,7 +356,7 @@ impl ScenarioRunner {
     }
 
     /// The generic core of [`run`](Self::run): executes `task(i)` for every
-    /// `i in 0..count` across the worker pool and returns the results **in
+    /// `i in 0..count` across the workers and returns the results **in
     /// index order**, independent of scheduling. Work that is not shaped
     /// like a [`ScenarioSpec`] — fleet cohorts, merge shards — parallelises
     /// through this directly.
@@ -417,145 +427,6 @@ impl ScenarioRunner {
     {
         self.run(specs, |_, spec| measure(spec, spec.execute()))
     }
-
-    /// Spins up a long-lived [`WorkerPool`] with this runner's thread count
-    /// and metrics registry. Batch callers keep using [`run`](Self::run);
-    /// the pool serves callers that submit work continuously instead of in
-    /// batches (the simulation daemon).
-    pub fn pool(&self) -> WorkerPool {
-        WorkerPool::new(self.threads, self.metrics.clone())
-    }
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A long-lived worker pool: the resident sibling of
-/// [`ScenarioRunner::run_tasks`].
-///
-/// `run_tasks` scopes its workers to one batch — perfect for the one-shot
-/// bins, useless for a daemon that receives work one request at a time. The
-/// pool keeps `threads` workers parked on an [`mpsc`] channel; submitted
-/// jobs are claimed by whichever worker is free (the same cheap
-/// work-stealing effect as the batch runner's atomic counter). When a
-/// metrics registry is attached, each job records `harness_cells_total` and
-/// `harness_cell_wall_ms`, exactly like a batch cell, and the
-/// `harness_threads` gauge reports the pool size.
-///
-/// Dropping the pool closes the channel and joins every worker, so no job
-/// that was accepted is abandoned — the daemon's graceful-shutdown drain
-/// rests on this.
-#[derive(Debug)]
-pub struct WorkerPool {
-    tx: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    threads: usize,
-}
-
-impl WorkerPool {
-    /// A pool with `threads` parked workers (0 selects available
-    /// parallelism), instrumented through `metrics` when given.
-    pub fn new(threads: usize, metrics: Option<Arc<MetricsRegistry>>) -> WorkerPool {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        if let Some(registry) = metrics.as_deref() {
-            registry.set_gauge("harness_threads", threads as f64);
-        }
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..threads)
-            .map(|_| {
-                let rx = rx.clone();
-                let instruments = metrics.as_deref().map(|r| {
-                    (
-                        r.counter("harness_cells_total"),
-                        r.histogram("harness_cell_wall_ms"),
-                    )
-                });
-                std::thread::spawn(move || loop {
-                    // Hold the receiver lock only while claiming, never
-                    // while running, so jobs execute concurrently.
-                    let job = match rx.lock().expect("pool receiver poisoned").recv() {
-                        Ok(job) => job,
-                        Err(_) => break, // channel closed: pool shut down
-                    };
-                    let start = instruments.as_ref().map(|_| Instant::now());
-                    job();
-                    if let (Some((cells, wall_ms)), Some(start)) = (&instruments, start) {
-                        cells.inc();
-                        wall_ms.observe(start.elapsed().as_secs_f64() * 1_000.0);
-                    }
-                })
-            })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            workers,
-            threads,
-        }
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Submits one job and returns a receiver for its result. The job runs
-    /// on whichever worker frees up first; `recv()` on the returned channel
-    /// blocks until it finishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool has been shut down (its channel is closed).
-    pub fn submit<T, F>(&self, job: F) -> mpsc::Receiver<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (done_tx, done_rx) = mpsc::channel();
-        self.tx
-            .as_ref()
-            .expect("pool already shut down")
-            .send(Box::new(move || {
-                // The caller may have stopped waiting; a closed result
-                // channel must not kill the worker.
-                let _ = done_tx.send(job());
-            }))
-            .expect("pool workers alive");
-        done_rx
-    }
-
-    /// Submits `job` and blocks until it completes on a worker.
-    ///
-    /// # Errors
-    ///
-    /// Reports a job that died without producing a result (it panicked on
-    /// its worker).
-    pub fn run<T, F>(&self, job: F) -> Result<T, String>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.submit(job)
-            .recv()
-            .map_err(|_| "pool job panicked before producing a result".to_owned())
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channel lets each worker finish its current job,
-        // drain anything still queued, and exit; the joins make shutdown
-        // synchronous.
-        self.tx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -622,36 +493,6 @@ mod tests {
         let mut device = base.clone();
         device.device = leaseos_simkit::DeviceProfile::nexus_6();
         assert_ne!(base.fingerprint(), device.fingerprint());
-    }
-
-    #[test]
-    fn worker_pool_runs_jobs_concurrently_and_drains_on_drop() {
-        use std::sync::atomic::AtomicU64;
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.enable();
-        let pool = ScenarioRunner::with_threads(4)
-            .with_metrics(registry.clone())
-            .pool();
-        assert_eq!(pool.threads(), 4);
-        assert_eq!(pool.run(|| 6 * 7), Ok(42));
-        // Many jobs in flight at once; every receiver resolves.
-        let receivers: Vec<_> = (0..32).map(|i| pool.submit(move || i * 2)).collect();
-        for (i, rx) in receivers.into_iter().enumerate() {
-            assert_eq!(rx.recv().unwrap(), i * 2);
-        }
-        // Jobs accepted before drop still run: the drop joins workers after
-        // the channel drains.
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..16 {
-            let counter = counter.clone();
-            let _ = pool.submit(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        drop(pool);
-        assert_eq!(counter.load(Ordering::Relaxed), 16);
-        assert_eq!(registry.counter("harness_cells_total").value(), 49);
-        assert_eq!(registry.gauge("harness_threads").value(), 4.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub use conformance::{CaseHandle, FaultArm, MatrixConfig, MatrixRun};
 pub use daemon::{CellRequest, DaemonClient, DaemonConfig};
 pub use harness::{
     parse_thread_count, AppBuilder, EnvBuilder, Matrix, PolicyBuilder, ScenarioRun, ScenarioRunner,
-    ScenarioSpec, WorkerPool,
+    ScenarioSpec,
 };
 
 use leaseos::LeaseOs;

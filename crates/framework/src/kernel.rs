@@ -1212,23 +1212,7 @@ impl Kernel {
     }
 
     fn apply_actions(&mut self, actions: Vec<PolicyAction>) {
-        for action in actions {
-            match action {
-                PolicyAction::Revoke(obj) => self.revoke(obj),
-                PolicyAction::Restore(obj) => self.restore(obj),
-                PolicyAction::ScheduleTimer { at, key } => {
-                    let at = at.max(self.queue.now());
-                    let now = self.queue.now();
-                    self.telemetry
-                        .emit(EventKind::PolicyAction, || TelemetryEvent::PolicyAction {
-                            at: now,
-                            action: "timer",
-                            obj: key,
-                        });
-                    self.queue.push(at, SysEvent::PolicyTimer { key });
-                }
-            }
-        }
+        self.apply_actions_inner(actions);
         self.update_device_state();
     }
 
@@ -1868,15 +1852,16 @@ impl Kernel {
                     state,
                 });
             let actions = self.call_policy("on_device_state", 0, |p, ctx| p.on_device_state(ctx));
-            // Note: apply_actions calls back into update_device_state; the
-            // recursion terminates because the second pass sees no change.
+            // Already inside update_device_state: apply without settling
+            // again, which would recurse.
             self.apply_actions_inner(actions);
         }
         self.sync_power(now);
     }
 
-    /// Like [`apply_actions`] but used on paths already inside
-    /// `update_device_state` to avoid unbounded recursion.
+    /// Applies a policy's actions without settling the device state; the
+    /// one body behind [`apply_actions`], and called directly on paths
+    /// already inside `update_device_state`.
     fn apply_actions_inner(&mut self, actions: Vec<PolicyAction>) {
         if actions.is_empty() {
             return;
@@ -2348,11 +2333,6 @@ impl std::fmt::Debug for AppCtx<'_> {
 }
 
 impl AppCtx<'_> {
-    /// This app's id.
-    pub fn app_id(&self) -> AppId {
-        self.app
-    }
-
     /// Current simulation instant.
     pub fn now(&self) -> SimTime {
         self.kernel.queue.now()

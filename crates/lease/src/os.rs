@@ -112,11 +112,6 @@ impl LeaseOs {
         &self.manager
     }
 
-    /// Mutable manager access (to register custom utility counters).
-    pub fn manager_mut(&mut self) -> &mut LeaseManager {
-        &mut self.manager
-    }
-
     fn proxy_mut(&mut self, kind: ResourceKind) -> &mut LeaseProxy {
         self.proxies
             .iter_mut()

@@ -77,11 +77,6 @@ impl EnergyMeter {
         EnergyMeter::default()
     }
 
-    /// The instant up to which energy has been integrated.
-    pub fn integrated_until(&self) -> SimTime {
-        self.last
-    }
-
     /// Integrates all open draws up to `now`.
     ///
     /// Idempotent for a fixed `now`; out-of-order calls (`now` in the past)
@@ -130,46 +125,6 @@ impl EnergyMeter {
         } else {
             self.draws.insert(channel, mw);
         }
-    }
-
-    /// Adds `delta_mw` (may be negative) to the current draw on
-    /// `(consumer, component)`, clamping at zero.
-    ///
-    /// Convenient for split attributions where holders come and go.
-    pub fn adjust_draw(
-        &mut self,
-        now: SimTime,
-        consumer: Consumer,
-        component: ComponentKind,
-        delta_mw: f64,
-    ) {
-        let current = self.current_draw_mw_on(consumer, component);
-        self.set_draw(now, consumer, component, (current + delta_mw).max(0.0));
-    }
-
-    /// The draw currently charged to `(consumer, component)`, in mW.
-    pub fn current_draw_mw_on(&self, consumer: Consumer, component: ComponentKind) -> f64 {
-        self.draws
-            .get(&Channel {
-                consumer,
-                component,
-            })
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// The total draw currently charged to `consumer` across all components.
-    pub fn current_draw_mw(&self, consumer: Consumer) -> f64 {
-        self.draws
-            .iter()
-            .filter(|(c, _)| c.consumer == consumer)
-            .map(|(_, mw)| mw)
-            .sum()
-    }
-
-    /// The instantaneous system-wide draw, in mW.
-    pub fn total_draw_mw(&self) -> f64 {
-        self.draws.values().sum()
     }
 
     /// Energy billed to `consumer` so far, in mJ.
@@ -305,16 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn adjust_draw_accumulates_and_clamps() {
-        let mut m = EnergyMeter::new();
-        m.adjust_draw(SimTime::ZERO, APP, ComponentKind::Wifi, 100.0);
-        m.adjust_draw(SimTime::ZERO, APP, ComponentKind::Wifi, 50.0);
-        assert_eq!(m.current_draw_mw_on(APP, ComponentKind::Wifi), 150.0);
-        m.adjust_draw(SimTime::ZERO, APP, ComponentKind::Wifi, -200.0);
-        assert_eq!(m.current_draw_mw_on(APP, ComponentKind::Wifi), 0.0);
-    }
-
-    #[test]
     fn avg_power_matches_constant_draw() {
         let mut m = EnergyMeter::new();
         m.set_draw(SimTime::ZERO, APP, ComponentKind::Audio, 70.0);
@@ -328,16 +273,6 @@ mod tests {
     fn zero_window_average_is_zero() {
         let m = EnergyMeter::new();
         assert_eq!(m.avg_power_mw(APP, SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn instantaneous_draw_queries() {
-        let mut m = EnergyMeter::new();
-        m.set_draw(SimTime::ZERO, APP, ComponentKind::Cpu, 30.0);
-        m.set_draw(SimTime::ZERO, APP, ComponentKind::Gps, 85.0);
-        m.set_draw(SimTime::ZERO, OTHER, ComponentKind::Cpu, 10.0);
-        assert_eq!(m.current_draw_mw(APP), 115.0);
-        assert_eq!(m.total_draw_mw(), 125.0);
     }
 
     #[test]

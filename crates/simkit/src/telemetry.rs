@@ -670,8 +670,10 @@ impl TelemetryBus {
 
 /// A bounded in-memory event buffer keeping the most recent events.
 ///
-/// When full, the oldest event is dropped and counted in
-/// [`RingBufferSink::dropped`] — wraparound never reallocates.
+/// The buffer grows as events arrive, up to `capacity`, so a huge capacity
+/// costs nothing until it is used. When full, the oldest event is dropped
+/// and counted in [`RingBufferSink::dropped`] — wraparound never
+/// reallocates.
 #[derive(Debug)]
 pub struct RingBufferSink {
     capacity: usize,
@@ -689,7 +691,7 @@ impl RingBufferSink {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         RingBufferSink {
             capacity,
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             dropped: 0,
         }
     }

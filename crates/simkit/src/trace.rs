@@ -141,35 +141,6 @@ impl SeriesSet {
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
     }
-
-    /// Renders all series as aligned CSV (`time_s,<name>,...`), merging on
-    /// sample index. Series are assumed to share a sampling grid, as the
-    /// profiler guarantees; shorter series render empty cells.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s");
-        for name in self.names() {
-            let _ = write!(out, ",{name}");
-        }
-        out.push('\n');
-        let rows = self.series.values().map(TimeSeries::len).max().unwrap_or(0);
-        for i in 0..rows {
-            let t = self
-                .series
-                .values()
-                .find_map(|s| s.samples().get(i).map(|(t, _)| *t));
-            let _ = write!(out, "{}", t.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN));
-            for s in self.series.values() {
-                match s.samples().get(i) {
-                    Some((_, v)) => {
-                        let _ = write!(out, ",{v}");
-                    }
-                    None => out.push(','),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Who a [`Span`] bills its energy to.
@@ -743,24 +714,6 @@ mod tests {
             set.names().collect::<Vec<_>>(),
             vec!["cpu_usage_s", "wakelock_hold_s"]
         );
-    }
-
-    #[test]
-    fn csv_rendering_is_aligned() {
-        let mut set = SeriesSet::new();
-        set.record("a", SimTime::from_secs(1), 1.0);
-        set.record("b", SimTime::from_secs(1), 2.0);
-        set.record("a", SimTime::from_secs(2), 3.0);
-        let csv = set.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time_s,a,b");
-        assert_eq!(lines[1], "1,1,2");
-        assert_eq!(lines[2], "2,3,");
-    }
-
-    #[test]
-    fn csv_of_empty_set_has_header_only() {
-        assert_eq!(SeriesSet::new().to_csv(), "time_s\n");
     }
 
     fn acquire(at: SimTime, obj: u64) -> TelemetryEvent {

@@ -106,8 +106,8 @@ fn shutdown_drains_inflight_work_and_removes_the_socket() {
         let mut client = daemon.client().expect("worker client connects");
         std::thread::spawn(move || client.call("run-cell", cell_fields()))
     };
-    // Give the in-flight request a moment to reach the worker pool, then
-    // ask for shutdown from a second connection.
+    // Give the in-flight request a moment to start executing, then ask
+    // for shutdown from a second connection.
     std::thread::sleep(std::time::Duration::from_millis(50));
     let mut admin = daemon.client().expect("admin client connects");
     let result = admin

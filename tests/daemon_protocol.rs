@@ -60,7 +60,7 @@ impl RawClient {
 fn malformed_line() -> impl Strategy<Value = Vec<u8>> {
     from_fn(|rng| {
         let valid = format!("{{\"v\":{PROTOCOL_VERSION},\"cmd\":\"ping\"}}");
-        match rng.below(9) {
+        match rng.below(11) {
             // Random non-UTF-8 garbage (continuation bytes only, never 0x0A).
             0 => (0..rng.below(64) + 1)
                 .map(|_| 0x80 + rng.below(64) as u8)
@@ -77,8 +77,24 @@ fn malformed_line() -> impl Strategy<Value = Vec<u8>> {
             6 => format!("{{\"v\":{PROTOCOL_VERSION}}}").into_bytes(),
             7 => format!("{{\"v\":{PROTOCOL_VERSION},\"cmd\":\"frobnicate\"}}").into_bytes(),
             // A mistyped field on a real command.
-            _ => {
+            8 => {
                 format!("{{\"v\":{PROTOCOL_VERSION},\"cmd\":\"run-cell\",\"app\":42}}").into_bytes()
+            }
+            // A fault arm with no time between faults.
+            9 => format!(
+                "{{\"v\":{PROTOCOL_VERSION},\"cmd\":\"run-cell\",\"app\":\"Torch\",\
+                 \"arm\":\"all\",\"mean_secs\":0}}"
+            )
+            .into_bytes(),
+            // More minutes than a simulated duration holds.
+            _ => {
+                let cmd = ["run-cell", "dumpsys", "explore"][rng.below(3) as usize];
+                let minutes = u64::MAX / 60_000 + 1 + rng.below(1 << 20);
+                format!(
+                    "{{\"v\":{PROTOCOL_VERSION},\"cmd\":\"{cmd}\",\"app\":\"Torch\",\
+                     \"minutes\":{minutes}}}"
+                )
+                .into_bytes()
             }
         }
     })
@@ -99,6 +115,28 @@ fn assert_structured_error(line: &str) {
         .and_then(JsonValue::as_str)
         .unwrap_or_else(|| panic!("error response carries an error string: {line}"));
     assert!(!error.is_empty());
+}
+
+/// A `trace` too large to preallocate is answered, and the daemon stays
+/// up: the ring buffer grows only as events arrive.
+#[test]
+fn huge_explore_trace_is_answered_and_the_daemon_survives() {
+    let mut config = DaemonConfig::scratch("proto-trace");
+    config.cache_dir = None;
+    let daemon = daemon::spawn(config).expect("daemon binds");
+
+    let mut client = RawClient::connect(daemon.socket());
+    let line = client
+        .round_trip(br#"{"v":1,"cmd":"explore","trace":9007199254740992,"minutes":1}"#)
+        .expect("the explore request is answered");
+    let resp = JsonValue::parse(&line).expect("explore response parses");
+    assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(true)), "got {line}");
+
+    let mut fresh = daemon.client().expect("fresh connection accepted");
+    fresh
+        .call("ping", Vec::new())
+        .expect("the daemon still serves");
+    daemon.shutdown().expect("clean shutdown");
 }
 
 proptest! {
