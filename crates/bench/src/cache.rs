@@ -25,6 +25,15 @@
 //! hash. Corrupt or truncated entries are treated as misses (and
 //! re-executed), never trusted.
 //!
+//! Keys and the integrity check use different hashes. Keys stay on
+//! [`fnv1a128`] over a few short canonical strings, whose bytes are pinned
+//! by tests and by the benchmark's digests. The JSONL check hashes every
+//! byte of tens of megabytes per warm sweep, so it uses XXH64 (seed 0),
+//! which runs four independent lanes over 32-byte stripes instead of one
+//! dependent multiply per byte. Entries from before that change carry an
+//! FNV-1a JSONL hash under format 1; format 2 makes each miss once and
+//! re-execute.
+//!
 //! Writes go through a temp file + rename so a crash mid-store can at worst
 //! leave an entry whose hash check fails — not a half-written file that
 //! validates.
@@ -43,7 +52,7 @@ const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// 128-bit FNV-1a prime.
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 
-/// 128-bit FNV-1a over raw bytes — the content hash everything here keys on.
+/// 128-bit FNV-1a over raw bytes — the hash every cache key is built from.
 /// Not cryptographic, but collision-free in practice for the few thousand
 /// short canonical strings a sweep produces, and fully dependency-free.
 pub fn fnv1a128(bytes: &[u8]) -> u128 {
@@ -53,6 +62,90 @@ pub fn fnv1a128(bytes: &[u8]) -> u128 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+const XXH_PRIME_1: u64 = 0x9e3779b185ebca87;
+const XXH_PRIME_2: u64 = 0xc2b2ae3d27d4eb4f;
+const XXH_PRIME_3: u64 = 0x165667b19e3779f9;
+const XXH_PRIME_4: u64 = 0x85ebca77c2b2ae63;
+const XXH_PRIME_5: u64 = 0x27d4eb2f165667c5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_PRIME_1)
+}
+
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane))
+        .wrapping_mul(XXH_PRIME_1)
+        .wrapping_add(XXH_PRIME_4)
+}
+
+fn read_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().unwrap())
+}
+
+/// XXH64 with seed 0 — the JSONL integrity hash. Four lanes consume each
+/// 32-byte stripe, then the 8-, 4- and 1-byte tails fold in and the
+/// avalanche mixes the result.
+fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let mut tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut lanes = [
+            XXH_PRIME_1.wrapping_add(XXH_PRIME_2),
+            XXH_PRIME_2,
+            0,
+            XXH_PRIME_1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = xxh_round(*lane, read_u64(&stripe[i * 8..]));
+            }
+        }
+        let [a, b, c, d] = lanes;
+        let h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        lanes.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+    } else {
+        XXH_PRIME_5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while tail.len() >= 8 {
+        h ^= xxh_round(0, read_u64(tail));
+        h = h
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME_1)
+            .wrapping_add(XXH_PRIME_4);
+        tail = &tail[8..];
+    }
+    if tail.len() >= 4 {
+        let word = u32::from_le_bytes(tail[..4].try_into().unwrap());
+        h ^= u64::from(word).wrapping_mul(XXH_PRIME_1);
+        h = h
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME_2)
+            .wrapping_add(XXH_PRIME_3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h ^= u64::from(b).wrapping_mul(XXH_PRIME_5);
+        h = h.rotate_left(11).wrapping_mul(XXH_PRIME_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_PRIME_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_PRIME_3);
+    h ^ (h >> 32)
+}
+
+/// The JSONL hash as the summary stores it: 16 hex digits.
+fn jsonl_hash(jsonl: &[u8]) -> String {
+    format!("{:016x}", xxh64(jsonl))
 }
 
 /// A content-derived cache key.
@@ -176,10 +269,11 @@ struct CacheCounters {
 
 /// Keys the summary document carries for integrity checking.
 const META_KEY: &str = "cache_key";
-const META_JSONL_HASH: &str = "jsonl_fnv128";
+const META_JSONL_HASH: &str = "jsonl_xxh64";
 const META_FORMAT: &str = "cache_format";
 /// Bump to orphan (and transparently re-execute) every existing entry.
-const FORMAT_VERSION: f64 = 1.0;
+/// Format 1 hashed the JSONL with FNV-1a-128; format 2 uses XXH64.
+const FORMAT_VERSION: f64 = 2.0;
 
 impl ResultCache {
     /// Opens (creating if needed) a cache rooted at `dir`.
@@ -274,9 +368,9 @@ impl ResultCache {
         if doc.get(META_FORMAT)?.as_f64()? != FORMAT_VERSION {
             return None;
         }
-        let want_hash = doc.get(META_JSONL_HASH)?.as_str()?.to_owned();
+        let want_hash = doc.get(META_JSONL_HASH)?.as_str()?;
         let jsonl = fs::read(self.jsonl_path(key)).ok()?;
-        if format!("{:032x}", fnv1a128(&jsonl)) != want_hash {
+        if jsonl_hash(&jsonl) != want_hash {
             return None;
         }
         let JsonValue::Obj(fields) = doc else {
@@ -307,10 +401,7 @@ impl ResultCache {
         };
         let mut fields = fields.clone();
         fields.push((META_KEY.into(), JsonValue::Str(key.hex())));
-        fields.push((
-            META_JSONL_HASH.into(),
-            JsonValue::Str(format!("{:032x}", fnv1a128(jsonl))),
-        ));
+        fields.push((META_JSONL_HASH.into(), JsonValue::Str(jsonl_hash(jsonl))));
         fields.push((META_FORMAT.into(), JsonValue::Num(FORMAT_VERSION)));
         let doc = JsonValue::Obj(fields).to_json();
         self.write_atomic(&self.jsonl_path(key), jsonl)?;
@@ -473,6 +564,69 @@ mod tests {
             cache.load(key).is_none(),
             "hash mismatch must not be trusted"
         );
+    }
+
+    #[test]
+    fn xxh64_matches_the_reference_vectors() {
+        let vectors: [(&[u8], u64); 4] = [
+            (b"", 0xef46db3751d8e999),
+            (b"a", 0xd24ec4f1a98c6e5b),
+            (b"abc", 0x44bc2cf5ad770999),
+            // 39 bytes: one full stripe, then the 4- and 1-byte tails.
+            (
+                b"Nobody inspects the spammish repetition",
+                0xfbcea83c8a378bf1,
+            ),
+        ];
+        for (input, want) in vectors {
+            assert_eq!(xxh64(input), want, "{:?}", String::from_utf8_lossy(input));
+        }
+        assert_eq!(jsonl_hash(b"abc"), "44bc2cf5ad770999");
+    }
+
+    #[test]
+    fn xxh64_separates_every_prefix_length() {
+        let buf: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        let mut seen: Vec<u64> = (0..=buf.len()).map(|n| xxh64(&buf[..n])).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), buf.len() + 1, "prefixes 0..=64 hash apart");
+    }
+
+    #[test]
+    fn same_length_jsonl_corruption_is_a_counted_miss() {
+        let cache = ResultCache::open(scratch_dir("flip")).unwrap();
+        let key = KeyBuilder::new("t/v1").field("cell", "a").finish();
+        let jsonl = b"{\"event\":\"device_state\",\"t_ms\":0,\"state\":\"wake\"}\n";
+        cache.store(key, &summary(1.0), jsonl).unwrap();
+        let mut flipped = jsonl.to_vec();
+        let mid = flipped.len() / 2;
+        flipped[mid] = if flipped[mid] == b'X' { b'Y' } else { b'X' };
+        fs::write(cache.jsonl_path(key), &flipped).unwrap();
+        assert!(cache.load(key).is_none(), "a flipped byte is not trusted");
+        assert_eq!(cache.stats().corrupt_repairs, 1);
+        cache.store(key, &summary(1.0), jsonl).unwrap();
+        assert_eq!(cache.load(key).map(|e| e.jsonl), Some(jsonl.to_vec()));
+    }
+
+    #[test]
+    fn format_1_entries_with_an_fnv_hash_are_misses() {
+        let cache = ResultCache::open(scratch_dir("format1")).unwrap();
+        let key = KeyBuilder::new("t/v1").field("cell", "a").finish();
+        let jsonl = b"payload\n";
+        let JsonValue::Obj(mut fields) = summary(1.0) else {
+            unreachable!()
+        };
+        fields.push((META_KEY.into(), JsonValue::Str(key.hex())));
+        fields.push((
+            "jsonl_fnv128".into(),
+            JsonValue::Str(format!("{:032x}", fnv1a128(jsonl))),
+        ));
+        fields.push((META_FORMAT.into(), JsonValue::Num(1.0)));
+        fs::write(cache.jsonl_path(key), jsonl).unwrap();
+        fs::write(cache.summary_path(key), JsonValue::Obj(fields).to_json()).unwrap();
+        assert!(cache.load(key).is_none(), "format 1 is never trusted");
+        assert_eq!(cache.stats().corrupt_repairs, 1);
     }
 
     #[test]

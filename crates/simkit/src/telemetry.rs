@@ -902,14 +902,11 @@ pub enum JsonValue {
 impl JsonValue {
     /// Parses one JSON document.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
-        let mut p = JsonParser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = JsonParser { src: input, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != input.len() {
             return Err(format!("trailing input at byte {}", p.pos));
         }
         Ok(v)
@@ -955,23 +952,7 @@ impl JsonValue {
             JsonValue::Num(n) => {
                 let _ = write!(s, "{n}");
             }
-            JsonValue::Str(v) => {
-                s.push('"');
-                for ch in v.chars() {
-                    match ch {
-                        '"' => s.push_str("\\\""),
-                        '\\' => s.push_str("\\\\"),
-                        '\n' => s.push_str("\\n"),
-                        '\t' => s.push_str("\\t"),
-                        '\r' => s.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(s, "\\u{:04x}", c as u32);
-                        }
-                        c => s.push(c),
-                    }
-                }
-                s.push('"');
-            }
+            JsonValue::Str(v) => write_json_str(s, v),
             JsonValue::Arr(items) => {
                 s.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -988,7 +969,8 @@ impl JsonValue {
                     if i > 0 {
                         s.push(',');
                     }
-                    let _ = write!(s, "\"{k}\":");
+                    write_json_str(s, k);
+                    s.push(':');
                     v.write_to(s);
                 }
                 s.push('}');
@@ -997,20 +979,48 @@ impl JsonValue {
     }
 }
 
+/// Writes `v` as a quoted JSON string. Each run of bytes that needs no
+/// escape is copied with one `push_str`; every escaped byte is ASCII, so
+/// the runs always split `v` on char boundaries.
+fn write_json_str(s: &mut String, v: &str) {
+    use fmt::Write as _;
+    s.push('"');
+    let mut run = 0;
+    for (i, b) in v.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        s.push_str(&v[run..i]);
+        match b {
+            b'"' => s.push_str("\\\""),
+            b'\\' => s.push_str("\\\\"),
+            b'\n' => s.push_str("\\n"),
+            b'\t' => s.push_str("\\t"),
+            b'\r' => s.push_str("\\r"),
+            _ => {
+                let _ = write!(s, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    s.push_str(&v[run..]);
+    s.push('"');
+}
+
 struct JsonParser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl JsonParser<'_> {
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        while matches!(self.peek(), Some(c) if c.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -1037,7 +1047,7 @@ impl JsonParser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -1054,7 +1064,7 @@ impl JsonParser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
@@ -1081,14 +1091,10 @@ impl JsonParser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).ok_or("bad \\u escape")?);
                             self.pos += 4;
                         }
@@ -1097,12 +1103,13 @@ impl JsonParser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next `"` or `\`. Both are
+                    // ASCII, so the run ends on a char boundary of `src`.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -1165,6 +1172,8 @@ impl JsonParser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::from_fn;
 
     fn acquire(at_ms: u64, obj: u64) -> TelemetryEvent {
         TelemetryEvent::ServiceAcquire {
@@ -1389,6 +1398,86 @@ mod tests {
         assert_eq!(v.get("c").and_then(|c| c.get("d")), Some(&JsonValue::Null));
         assert!(JsonValue::parse("{\"open\":").is_err());
         assert!(JsonValue::parse("[1,2] trailing").is_err());
+    }
+
+    /// Characters a JSON string must survive: every escape, raw control
+    /// characters, DEL, and one- to four-byte UTF-8.
+    const TRICKY: &[char] = &[
+        '"', '\\', '/', '\n', '\t', '\r', '\u{0}', '\u{1}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}',
+        'é', 'ß', '€', '\u{2028}', '𝄞', '🦀',
+    ];
+
+    fn json_text(rng: &mut TestRng) -> String {
+        (0..rng.below(12))
+            .map(|_| match rng.below(3) {
+                0 => TRICKY[rng.below(TRICKY.len() as u64) as usize],
+                _ => char::from(b' ' + rng.below(95) as u8),
+            })
+            .collect()
+    }
+
+    fn json_number(rng: &mut TestRng) -> f64 {
+        match rng.below(3) {
+            0 => rng.below(1 << 20) as f64 - (1 << 19) as f64,
+            1 => (rng.next_f64() - 0.5) * 1e6,
+            _ => loop {
+                let n = f64::from_bits(rng.next_u64());
+                if n.is_finite() {
+                    break n;
+                }
+            },
+        }
+    }
+
+    fn json_value(rng: &mut TestRng, depth: u32) -> JsonValue {
+        // Kinds 0..4 are leaves; 4 and 5 nest and need depth to spare.
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match rng.below(kinds) {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.below(2) == 1),
+            2 => JsonValue::Num(json_number(rng)),
+            3 => JsonValue::Str(json_text(rng)),
+            4 => JsonValue::Arr(
+                (0..rng.below(5))
+                    .map(|_| json_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Obj(
+                (0..rng.below(5))
+                    .map(|_| (json_text(rng), json_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever keys, strings and finite numbers a document holds,
+        /// rendering and parsing it gives the same value back.
+        #[test]
+        fn json_codec_round_trips(v in from_fn(|rng| json_value(rng, 4))) {
+            prop_assert_eq!(JsonValue::parse(&v.to_json()), Ok(v));
+        }
+    }
+
+    /// A 4 MiB string of mixed escapes and multi-byte characters parses and
+    /// re-renders byte for byte. Parsing must be linear in the input: a
+    /// scan that revisits the rest of the input per character takes
+    /// minutes here.
+    #[test]
+    fn four_mib_string_parses_in_linear_time() {
+        let chunk = "plain ascii é€𝄞 \"quoted\" back\\slash\nnew\tline\u{1}";
+        let big = chunk.repeat((4 << 20) / chunk.len() + 1);
+        assert!(big.len() >= 4 << 20);
+        let doc = JsonValue::Obj(vec![(
+            "k\"ey".into(),
+            JsonValue::Arr(vec![JsonValue::Str(big), JsonValue::Num(1.5)]),
+        )]);
+        let text = doc.to_json();
+        let parsed = JsonValue::parse(&text).expect("the big document parses");
+        assert_eq!(parsed.to_json(), text);
+        assert_eq!(parsed, doc);
     }
 
     #[test]

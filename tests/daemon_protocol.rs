@@ -139,6 +139,44 @@ fn huge_explore_trace_is_answered_and_the_daemon_survives() {
     daemon.shutdown().expect("clean shutdown");
 }
 
+/// An `id` whose object keys need escaping is echoed as one well-formed
+/// response line: the keys are escaped on the way out, not written raw.
+#[test]
+fn id_keys_that_need_escaping_are_echoed_intact() {
+    let mut config = DaemonConfig::scratch("proto-id-keys");
+    config.cache_dir = None;
+    let daemon = daemon::spawn(config).expect("daemon binds");
+
+    let mut client = RawClient::connect(daemon.socket());
+    let line = client
+        .round_trip(
+            r#"{"v":1,"id":{"q\"t":1,"b\\s":2,"n\nl":3,"c\u0001":4,"café €":5},"cmd":"ping"}"#
+                .as_bytes(),
+        )
+        .expect("the ping is answered");
+    let resp = JsonValue::parse(&line)
+        .unwrap_or_else(|e| panic!("the response line parses ({e}): {line}"));
+    assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(true)), "got {line}");
+    let sent = JsonValue::Obj(
+        ["q\"t", "b\\s", "n\nl", "c\u{1}", "café €"]
+            .iter()
+            .zip(1..)
+            .map(|(k, n)| (k.to_string(), JsonValue::Num(f64::from(n))))
+            .collect(),
+    );
+    assert_eq!(resp.get("id"), Some(&sent), "the id is echoed as sent");
+
+    // Exactly one line came back: the next line on this connection is the
+    // answer to the next request, not a tail of the first.
+    let pong = client
+        .round_trip(format!("{{\"v\":{PROTOCOL_VERSION},\"cmd\":\"ping\"}}").as_bytes())
+        .expect("same connection still serves");
+    let pong = JsonValue::parse(&pong).expect("the next response parses");
+    assert_eq!(pong.get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(pong.get("id"), None);
+    daemon.shutdown().expect("clean shutdown");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
