@@ -25,7 +25,7 @@
 //!   listener callbacks wake the app transiently, as on Android).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use leaseos_simkit::metrics::{Counter, Gauge};
@@ -50,6 +50,20 @@ use crate::store::SecondaryMap;
 /// Base uid assigned to the first app (Android assigns apps uids from
 /// 10000).
 const FIRST_UID: u32 = 10_001;
+
+/// Cells per row of the dense draw table, one per component. A component's
+/// column is its discriminant, so row-major order is the derived
+/// `(Consumer, ComponentKind)` order.
+const COMPONENTS: usize = ComponentKind::ALL.len();
+// `ALL` lists the components in discriminant order, so column `c` is
+// `ALL[c]`.
+const _: () = {
+    let mut col = 0;
+    while col < COMPONENTS {
+        assert!(ComponentKind::ALL[col] as usize == col);
+        col += 1;
+    }
+};
 
 /// Connection-failure latency when the network is down.
 const CONNECT_FAIL_MS: u64 = 300;
@@ -169,6 +183,12 @@ fn token_entry_remove<T>(table: &mut [Vec<(Token, T)>], idx: usize, token: Token
     }
 }
 
+/// Whether one app's in-flight network operations have one on the air (not
+/// suspended by sleep).
+fn transferring(ops: &[(Token, NetOp)]) -> bool {
+    ops.iter().any(|(_, op)| !op.suspended)
+}
+
 /// GPS request phases (runtime view; the ledger keeps the accounting view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GpsRunPhase {
@@ -230,14 +250,16 @@ pub struct Kernel {
     /// Sensor runtimes, keyed by the owning object's ledger slot.
     sensors: SecondaryMap<SensorRuntime>,
 
-    /// Last power attribution, sorted by key for a deterministic diff walk.
-    prev_draws: Vec<((Consumer, ComponentKind), f64)>,
-    /// Reusable accumulation scratch for [`Kernel::sync_power`]; cleared
-    /// (capacity retained) on every settle so the hot path stays
-    /// allocation-free.
-    scratch_desired: HashMap<(Consumer, ComponentKind), f64>,
-    /// Reusable sorted-draws scratch, swapped with `prev_draws` each settle.
-    scratch_draws: Vec<((Consumer, ComponentKind), f64)>,
+    /// Last settled power attribution as a dense draw table: row 0 is
+    /// `Consumer::System`, row `1 + slot` is that app slot, and each row
+    /// has one cell per [`ComponentKind::ALL`] entry. A cell is drawn
+    /// exactly when it is > 0.
+    prev_draws: Vec<f64>,
+    /// The table [`Kernel::sync_power`] accumulates into, same layout;
+    /// swapped with `prev_draws` after the diff, so a settle reuses both.
+    scratch_desired: Vec<f64>,
+    /// Reusable holder list for the shared-component splits.
+    scratch_holders: Vec<AppId>,
     policy_overhead_mj: f64,
     started: bool,
 
@@ -317,8 +339,8 @@ impl Kernel {
             gps: SecondaryMap::new(),
             sensors: SecondaryMap::new(),
             prev_draws: Vec::new(),
-            scratch_desired: HashMap::new(),
-            scratch_draws: Vec::new(),
+            scratch_desired: Vec::new(),
+            scratch_holders: Vec::new(),
             policy_overhead_mj: 0.0,
             started: false,
             fault_rng: None,
@@ -1803,16 +1825,18 @@ impl Kernel {
         self.gps_begin_search(now, obj);
     }
 
-    fn effective_holders(&self, kind: ResourceKind) -> Vec<AppId> {
-        let mut v: Vec<AppId> = self
-            .ledger
-            .effective_objects(kind)
-            .iter()
-            .map(|&obj| self.ledger.obj(obj).owner)
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+    /// Writes the distinct owners of `kind`'s effective objects into `out`
+    /// (cleared first, capacity kept), in order of their first object.
+    /// Every caller bills each holder once per cell, so the order never
+    /// reaches a sum.
+    fn effective_holders_into(&self, kind: ResourceKind, out: &mut Vec<AppId>) {
+        out.clear();
+        for &obj in self.ledger.effective_objects(kind) {
+            let owner = self.ledger.obj(obj).owner;
+            if !out.contains(&owner) {
+                out.push(owner);
+            }
+        }
     }
 
     /// Recomputes screen/awake state, handles sleep/wake transitions, and
@@ -1821,11 +1845,9 @@ impl Kernel {
         let now = self.queue.now();
         let user = self.env.user_present.at(now);
         self.ledger.set_user_present(user, now);
-        let screen = user
-            || !self
-                .effective_holders(ResourceKind::ScreenWakelock)
-                .is_empty();
-        let awake = screen || !self.effective_holders(ResourceKind::Wakelock).is_empty();
+        let held = |kind| !self.ledger.effective_objects(kind).is_empty();
+        let screen = user || held(ResourceKind::ScreenWakelock);
+        let awake = screen || held(ResourceKind::Wakelock);
 
         let screen_changed = screen != self.screen_on;
         self.screen_on = screen;
@@ -1955,43 +1977,33 @@ impl Kernel {
     fn sync_power(&mut self, now: SimTime) {
         self.m_settles.inc();
         let p = &self.device.power;
-        // Accumulate into the reusable scratch map: `clear` keeps its
-        // capacity, so a settled kernel allocates nothing here. Accumulation
-        // order (and therefore float rounding) is unchanged from the old
-        // per-call map; only the storage is reused.
+        // Accumulate into the reusable dense table, grown for any app added
+        // since the last settle. Each cell starts at 0.0 and takes its
+        // additions in program order, exactly as a keyed map would.
         let mut desired = std::mem::take(&mut self.scratch_desired);
         desired.clear();
-        let add = |map: &mut HashMap<(Consumer, ComponentKind), f64>,
-                   c: Consumer,
-                   k: ComponentKind,
-                   mw: f64| {
+        desired.resize((1 + self.apps.len()) * COMPONENTS, 0.0);
+        let mut holders = std::mem::take(&mut self.scratch_holders);
+        let add = |table: &mut [f64], row: usize, comp: ComponentKind, mw: f64| {
             if mw > 0.0 {
-                *map.entry((c, k)).or_insert(0.0) += mw;
+                table[row * COMPONENTS + comp as usize] += mw;
             }
         };
+        let row = |app: AppId| 1 + self.slot_index(app);
 
         // CPU floor.
-        add(
-            &mut desired,
-            Consumer::System,
-            ComponentKind::Cpu,
-            p.cpu_deep_sleep_mw,
-        );
+        add(&mut desired, 0, ComponentKind::Cpu, p.cpu_deep_sleep_mw);
         if self.awake {
             let idle_delta = p.cpu_idle_mw - p.cpu_deep_sleep_mw;
-            let wakers = self.effective_holders(ResourceKind::Wakelock);
-            if self.screen_on || wakers.is_empty() {
+            let wakelocks = self.ledger.effective_objects(ResourceKind::Wakelock);
+            if self.screen_on || wakelocks.is_empty() {
                 // The user keeps the device up; the baseline pays.
-                add(
-                    &mut desired,
-                    Consumer::System,
-                    ComponentKind::Cpu,
-                    idle_delta,
-                );
+                add(&mut desired, 0, ComponentKind::Cpu, idle_delta);
             } else {
-                let share = idle_delta / wakers.len() as f64;
-                for app in wakers {
-                    add(&mut desired, app.consumer(), ComponentKind::Cpu, share);
+                self.effective_holders_into(ResourceKind::Wakelock, &mut holders);
+                let share = idle_delta / holders.len() as f64;
+                for &app in &holders {
+                    add(&mut desired, row(app), ComponentKind::Cpu, share);
                 }
             }
             // Active execution: each running burst bills its app the active
@@ -1999,12 +2011,7 @@ impl Kernel {
             let active_delta = p.cpu_active_mw - p.cpu_idle_mw;
             for (idx, entries) in self.works.iter().enumerate() {
                 if entries.iter().any(|(_, b)| b.running_since.is_some()) {
-                    add(
-                        &mut desired,
-                        self.apps[idx].id.consumer(),
-                        ComponentKind::Cpu,
-                        active_delta,
-                    );
+                    add(&mut desired, 1 + idx, ComponentKind::Cpu, active_delta);
                 }
             }
         }
@@ -2012,17 +2019,12 @@ impl Kernel {
         // Screen.
         if self.screen_on {
             if self.env.user_present.at(now) {
-                add(
-                    &mut desired,
-                    Consumer::System,
-                    ComponentKind::Screen,
-                    p.screen_on_mw,
-                );
+                add(&mut desired, 0, ComponentKind::Screen, p.screen_on_mw);
             } else {
-                let holders = self.effective_holders(ResourceKind::ScreenWakelock);
+                self.effective_holders_into(ResourceKind::ScreenWakelock, &mut holders);
                 let share = p.screen_on_mw / holders.len().max(1) as f64;
-                for app in holders {
-                    add(&mut desired, app.consumer(), ComponentKind::Screen, share);
+                for &app in &holders {
+                    add(&mut desired, row(app), ComponentKind::Screen, share);
                 }
             }
         }
@@ -2033,38 +2035,31 @@ impl Kernel {
         for &obj in self.ledger.effective_objects(ResourceKind::Gps) {
             let slot = self.ledger.slot_of(obj).expect("live object slot");
             let g = self.gps.get(slot).expect("gps runtime");
-            if g.phase == GpsRunPhase::Parked {
-                continue;
-            }
             let mw = match g.phase {
                 GpsRunPhase::Searching => p.gps_searching_mw,
                 GpsRunPhase::Fixed => p.gps_fixed_mw,
-                GpsRunPhase::Parked => 0.0,
+                GpsRunPhase::Parked => continue,
             };
             let owner = self.ledger.obj(obj).owner;
-            add(&mut desired, owner.consumer(), ComponentKind::Gps, mw);
+            add(&mut desired, row(owner), ComponentKind::Gps, mw);
         }
 
         // Wi-Fi: active transfers dominate; otherwise wifilocks keep the
         // radio idle-associated.
-        let transferring: Vec<AppId> = self
-            .netops
-            .iter()
-            .enumerate()
-            .filter(|(_, entries)| entries.iter().any(|(_, op)| !op.suspended))
-            .map(|(idx, _)| self.apps[idx].id)
-            .collect();
-        if !transferring.is_empty() {
-            let share = p.wifi_active_mw / transferring.len() as f64;
-            for app in transferring {
-                add(&mut desired, app.consumer(), ComponentKind::Wifi, share);
+        let transfers = self.netops.iter().filter(|ops| transferring(ops)).count();
+        if transfers > 0 {
+            let share = p.wifi_active_mw / transfers as f64;
+            for (idx, ops) in self.netops.iter().enumerate() {
+                if transferring(ops) {
+                    add(&mut desired, 1 + idx, ComponentKind::Wifi, share);
+                }
             }
         } else {
-            let holders = self.effective_holders(ResourceKind::WifiLock);
+            self.effective_holders_into(ResourceKind::WifiLock, &mut holders);
             if !holders.is_empty() {
                 let share = p.wifi_idle_mw / holders.len() as f64;
-                for app in holders {
-                    add(&mut desired, app.consumer(), ComponentKind::Wifi, share);
+                for &app in &holders {
+                    add(&mut desired, row(app), ComponentKind::Wifi, share);
                 }
             }
         }
@@ -2074,61 +2069,41 @@ impl Kernel {
             (ResourceKind::Sensor, ComponentKind::Sensor, p.sensor_on_mw),
             (ResourceKind::Audio, ComponentKind::Audio, p.audio_on_mw),
         ] {
-            let holders = self.effective_holders(kind);
+            self.effective_holders_into(kind, &mut holders);
             if !holders.is_empty() {
                 let share = mw / holders.len() as f64;
-                for app in holders {
-                    add(&mut desired, app.consumer(), comp, share);
+                for &app in &holders {
+                    add(&mut desired, row(app), comp, share);
                 }
             }
         }
 
-        // Diff against the previous attribution with a sorted merge walk:
-        // the same set_draw calls the old hash diff issued (stale keys
-        // zeroed, changed or new keys updated), but in deterministic key
-        // order and without rebuilding a map. Channels are independent in
-        // the meter, so reordering the calls cannot change any integral.
-        let mut next = std::mem::take(&mut self.scratch_draws);
-        next.clear();
-        next.extend(desired.drain());
-        next.sort_unstable_by_key(|a| a.0);
-        let (mut i, mut j) = (0, 0);
-        while i < self.prev_draws.len() || j < next.len() {
-            let prev = self.prev_draws.get(i);
-            let new = next.get(j);
-            match (prev, new) {
-                (Some(&(pk, _)), Some(&(nk, nmw))) if pk == nk => {
-                    if self.prev_draws[i].1 != nmw {
-                        self.meter.set_draw(now, nk.0, nk.1, nmw);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&(pk, _)), Some(&(nk, _))) if pk < nk => {
-                    self.meter.set_draw(now, pk.0, pk.1, 0.0);
-                    i += 1;
-                }
-                (Some(&(pk, _)), None) => {
-                    self.meter.set_draw(now, pk.0, pk.1, 0.0);
-                    i += 1;
-                }
-                (_, Some(&(nk, nmw))) => {
-                    self.meter.set_draw(now, nk.0, nk.1, nmw);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
+        // Diff cell by cell against the previous table. Row-major order is
+        // the `(Consumer, ComponentKind)` order and a cell is drawn exactly
+        // when it is > 0, so this issues the same `set_draw` calls in the
+        // same order as a sorted merge of the two attributions: stale draws
+        // zeroed, changed or new draws updated.
+        self.prev_draws.resize(desired.len(), 0.0);
+        for (cell, (&was, &mw)) in self.prev_draws.iter().zip(&desired).enumerate() {
+            if was != mw {
+                let consumer = match cell / COMPONENTS {
+                    0 => Consumer::System,
+                    r => self.apps[r - 1].id.consumer(),
+                };
+                let comp = ComponentKind::ALL[cell % COMPONENTS];
+                self.meter.set_draw(now, consumer, comp, mw);
             }
         }
-        std::mem::swap(&mut self.prev_draws, &mut next);
-        self.scratch_draws = next;
+        std::mem::swap(&mut self.prev_draws, &mut desired);
         self.scratch_desired = desired;
 
         // Mirror the same attribution at span granularity when tracing is
         // enabled. Computed after the meter so both integrate from `now`.
         if let Some(spans) = &self.spans {
-            let sd = self.span_desired(now);
+            let sd = self.span_desired(now, &mut holders);
             spans.borrow_mut().set_draws(now, &sd);
         }
+        self.scratch_holders = holders;
     }
 
     /// Whether `app` currently has a CPU burst executing.
@@ -2180,7 +2155,12 @@ impl Kernel {
     /// objects, with every slice classified useful or wasted (DESIGN.md
     /// §3.7). Per-app totals reproduce the consumer math expression for
     /// expression, so span energy sums match the meter to float round-off.
-    fn span_desired(&self, now: SimTime) -> BTreeMap<(SpanScope, ComponentKind, bool), f64> {
+    /// `holders` is the settle's reusable holder buffer.
+    fn span_desired(
+        &self,
+        now: SimTime,
+        holders: &mut Vec<AppId>,
+    ) -> BTreeMap<(SpanScope, ComponentKind, bool), f64> {
         let p = &self.device.power;
         let mut out: BTreeMap<(SpanScope, ComponentKind, bool), f64> = BTreeMap::new();
         let alive = |app: AppId| {
@@ -2196,16 +2176,17 @@ impl Kernel {
 
         if self.awake {
             let idle_delta = p.cpu_idle_mw - p.cpu_deep_sleep_mw;
-            let wakers = self.effective_holders(ResourceKind::Wakelock);
-            if self.screen_on || wakers.is_empty() {
+            let wakelocks = self.ledger.effective_objects(ResourceKind::Wakelock);
+            if self.screen_on || wakelocks.is_empty() {
                 *out.entry((SpanScope::System, ComponentKind::Cpu, false))
                     .or_insert(0.0) += idle_delta;
             } else {
                 // A held wakelock whose owner has no burst executing is the
                 // Long-Holding signature: the idle draw it induces is waste.
-                let share = idle_delta / wakers.len() as f64;
+                self.effective_holders_into(ResourceKind::Wakelock, holders);
+                let share = idle_delta / holders.len() as f64;
                 let objs = self.effective_holder_objs(ResourceKind::Wakelock);
-                for app in wakers {
+                for &app in holders.iter() {
                     let wasted = !self.app_running_burst(app);
                     if let Some(list) = objs.get(&app) {
                         Self::split_app_share(&mut out, list, ComponentKind::Cpu, wasted, share);
@@ -2230,10 +2211,10 @@ impl Kernel {
                 *out.entry((SpanScope::System, ComponentKind::Screen, false))
                     .or_insert(0.0) += p.screen_on_mw;
             } else {
-                let holders = self.effective_holders(ResourceKind::ScreenWakelock);
+                self.effective_holders_into(ResourceKind::ScreenWakelock, holders);
                 let share = p.screen_on_mw / holders.len().max(1) as f64;
                 let objs = self.effective_holder_objs(ResourceKind::ScreenWakelock);
-                for app in holders {
+                for &app in holders.iter() {
                     let wasted = !alive(app);
                     if let Some(list) = objs.get(&app) {
                         Self::split_app_share(&mut out, list, ComponentKind::Screen, wasted, share);
@@ -2264,25 +2245,22 @@ impl Kernel {
 
         // Wi-Fi: active transfers are app work; an idle-held wifilock is
         // exactly the hold-without-use waste the lease model targets.
-        let transferring: Vec<AppId> = self
-            .netops
-            .iter()
-            .enumerate()
-            .filter(|(_, entries)| entries.iter().any(|(_, op)| !op.suspended))
-            .map(|(idx, _)| self.apps[idx].id)
-            .collect();
-        if !transferring.is_empty() {
-            let share = p.wifi_active_mw / transferring.len() as f64;
-            for app in transferring {
-                *out.entry((SpanScope::App(app.0), ComponentKind::Wifi, false))
-                    .or_insert(0.0) += share;
+        let transfers = self.netops.iter().filter(|ops| transferring(ops)).count();
+        if transfers > 0 {
+            let share = p.wifi_active_mw / transfers as f64;
+            for (idx, ops) in self.netops.iter().enumerate() {
+                if transferring(ops) {
+                    let app = self.apps[idx].id;
+                    *out.entry((SpanScope::App(app.0), ComponentKind::Wifi, false))
+                        .or_insert(0.0) += share;
+                }
             }
         } else {
-            let holders = self.effective_holders(ResourceKind::WifiLock);
+            self.effective_holders_into(ResourceKind::WifiLock, holders);
             if !holders.is_empty() {
                 let share = p.wifi_idle_mw / holders.len() as f64;
                 let objs = self.effective_holder_objs(ResourceKind::WifiLock);
-                for app in holders {
+                for &app in holders.iter() {
                     if let Some(list) = objs.get(&app) {
                         Self::split_app_share(&mut out, list, ComponentKind::Wifi, true, share);
                     }
@@ -2295,13 +2273,13 @@ impl Kernel {
             (ResourceKind::Sensor, ComponentKind::Sensor, p.sensor_on_mw),
             (ResourceKind::Audio, ComponentKind::Audio, p.audio_on_mw),
         ] {
-            let holders = self.effective_holders(kind);
+            self.effective_holders_into(kind, holders);
             if holders.is_empty() {
                 continue;
             }
             let share = mw / holders.len() as f64;
             let objs = self.effective_holder_objs(kind);
-            for app in holders {
+            for &app in holders.iter() {
                 let wasted = comp == ComponentKind::Sensor && !alive(app);
                 if let Some(list) = objs.get(&app) {
                     Self::split_app_share(&mut out, list, comp, wasted, share);

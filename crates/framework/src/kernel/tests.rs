@@ -612,6 +612,151 @@ fn network_transfers_bill_wifi_active_to_the_transferring_app() {
     assert!(wifi > 10.0 && wifi < 80.0, "got {wifi}");
 }
 
+/// One resource-acquiring call an app makes.
+type Acquire = fn(&mut AppCtx<'_>);
+
+/// Makes one acquire call at start the given number of times and holds
+/// whatever it acquired.
+struct Holds(Acquire, usize);
+
+impl AppModel for Holds {
+    fn name(&self) -> &str {
+        "holds"
+    }
+    fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+        for _ in 0..self.1 {
+            (self.0)(ctx);
+        }
+    }
+    fn on_event(&mut self, _ctx: &mut AppCtx<'_>, _event: AppEvent) {}
+}
+
+#[test]
+fn every_shared_component_splits_its_draw_among_effective_holders() {
+    let p = DeviceProfile::pixel_xl().power;
+    let cases: [(&str, Acquire, ComponentKind, f64); 5] = [
+        (
+            "wakelock",
+            |ctx| {
+                ctx.acquire_wakelock();
+            },
+            ComponentKind::Cpu,
+            p.cpu_idle_mw - p.cpu_deep_sleep_mw,
+        ),
+        (
+            "screen wakelock",
+            |ctx| {
+                ctx.acquire_screen_wakelock();
+            },
+            ComponentKind::Screen,
+            p.screen_on_mw,
+        ),
+        (
+            "wifilock",
+            |ctx| {
+                ctx.acquire_wifilock();
+            },
+            ComponentKind::Wifi,
+            p.wifi_idle_mw,
+        ),
+        (
+            "sensor",
+            |ctx| {
+                ctx.register_sensor(d(1));
+            },
+            ComponentKind::Sensor,
+            p.sensor_on_mw,
+        ),
+        (
+            "audio",
+            |ctx| {
+                ctx.acquire_audio();
+            },
+            ComponentKind::Audio,
+            p.audio_on_mw,
+        ),
+    ];
+    for (name, acquire, comp, mw) in cases {
+        let mut k = Kernel::vanilla(DeviceProfile::pixel_xl(), background_env(), 1);
+        // Holding two objects still makes one holder.
+        let holders = [
+            k.add_app(Box::new(Holds(acquire, 2))),
+            k.add_app(Box::new(Holds(acquire, 1))),
+        ];
+        let bystander = k.add_app(Box::new(Holds(|_| {}, 0)));
+        k.run_until(t(100));
+        let each = 100.0 * mw / 2.0;
+        for app in holders {
+            let e = k.meter().component_energy_mj(app.consumer(), comp);
+            assert!(
+                (e - each).abs() < 1e-6,
+                "{name}: {app} expected {each}, got {e}"
+            );
+        }
+        let e = k.meter().energy_mj(bystander.consumer());
+        assert_eq!(e, 0.0, "{name}: the bystander pays nothing");
+    }
+}
+
+/// Holds a wakelock and keeps one transfer on the air for ~500 s.
+struct LongTransfer;
+
+impl AppModel for LongTransfer {
+    fn name(&self) -> &str {
+        "long-transfer"
+    }
+    fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+        ctx.acquire_wakelock();
+        ctx.network_op(1_000_000_000, 1);
+    }
+    fn on_event(&mut self, _ctx: &mut AppCtx<'_>, _event: AppEvent) {}
+}
+
+#[test]
+fn concurrent_transfers_share_wifi_active_and_a_wifilock_holder_pays_nothing() {
+    let mut k = Kernel::vanilla(DeviceProfile::pixel_xl(), background_env(), 1);
+    let senders = [
+        k.add_app(Box::new(LongTransfer)),
+        k.add_app(Box::new(LongTransfer)),
+    ];
+    let locker = k.add_app(Box::new(Holds(
+        |ctx| {
+            ctx.acquire_wifilock();
+        },
+        1,
+    )));
+    k.run_until(t(100));
+    let each = 100.0 * DeviceProfile::pixel_xl().power.wifi_active_mw / 2.0;
+    for app in senders {
+        let e = k
+            .meter()
+            .component_energy_mj(app.consumer(), ComponentKind::Wifi);
+        assert!((e - each).abs() < 1e-6, "{app}: expected {each}, got {e}");
+    }
+    let e = k
+        .meter()
+        .component_energy_mj(locker.consumer(), ComponentKind::Wifi);
+    assert_eq!(e, 0.0, "transfers keep the radio up, not the wifilock");
+}
+
+#[test]
+fn an_app_added_mid_run_is_billed_from_its_start() {
+    let mut k = Kernel::vanilla(DeviceProfile::pixel_xl(), background_env(), 1);
+    let first = k.add_app(Box::new(HoldForever::new()));
+    k.run_until(t(100));
+    let second = k.add_app(Box::new(HoldForever::new()));
+    k.run_until(t(200));
+    let p = DeviceProfile::pixel_xl().power;
+    let delta = p.cpu_idle_mw - p.cpu_deep_sleep_mw;
+    // Alone for 100 s, then half the keep-alive for 100 s.
+    for (app, secs) in [(first, 150.0), (second, 50.0)] {
+        let want = secs * delta;
+        let e = k.meter().energy_mj(app.consumer());
+        assert!((e - want).abs() < 1e-6, "{app}: expected {want}, got {e}");
+    }
+    assert!(k.audit().is_empty(), "{:?}", k.audit());
+}
+
 #[test]
 fn weak_gps_signal_cycles_between_search_and_fix() {
     let mut env = background_env();

@@ -45,13 +45,27 @@ impl SimTime {
     }
 
     /// Creates an instant `secs` seconds after simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instant overflows `u64` milliseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * 1_000)
+        match secs.checked_mul(1_000) {
+            Some(ms) => SimTime(ms),
+            None => panic!("SimTime::from_secs overflows u64 milliseconds"),
+        }
     }
 
     /// Creates an instant `mins` minutes after simulation start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instant overflows `u64` milliseconds.
     pub const fn from_mins(mins: u64) -> Self {
-        SimTime(mins * 60_000)
+        match mins.checked_mul(60_000) {
+            Some(ms) => SimTime(ms),
+            None => panic!("SimTime::from_mins overflows u64 milliseconds"),
+        }
     }
 
     /// Milliseconds since simulation start.
@@ -101,18 +115,39 @@ impl SimDuration {
     }
 
     /// Creates a span of `secs` seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span overflows `u64` milliseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1_000)
+        match secs.checked_mul(1_000) {
+            Some(ms) => SimDuration(ms),
+            None => panic!("SimDuration::from_secs overflows u64 milliseconds"),
+        }
     }
 
     /// Creates a span of `mins` minutes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span overflows `u64` milliseconds.
     pub const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins * 60_000)
+        match mins.checked_mul(60_000) {
+            Some(ms) => SimDuration(ms),
+            None => panic!("SimDuration::from_mins overflows u64 milliseconds"),
+        }
     }
 
     /// Creates a span of `hours` hours.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span overflows `u64` milliseconds.
     pub const fn from_hours(hours: u64) -> Self {
-        SimDuration(hours * 3_600_000)
+        match hours.checked_mul(3_600_000) {
+            Some(ms) => SimDuration(ms),
+            None => panic!("SimDuration::from_hours overflows u64 milliseconds"),
+        }
     }
 
     /// The span in milliseconds.
@@ -350,6 +385,60 @@ mod tests {
             SimDuration::FOREVER + SimDuration::from_secs(1),
             SimDuration::FOREVER
         );
+    }
+
+    #[test]
+    fn unit_constructors_reach_the_largest_representable_value() {
+        assert_eq!(
+            SimTime::from_secs(u64::MAX / 1_000).as_secs(),
+            u64::MAX / 1_000
+        );
+        assert_eq!(
+            SimTime::from_mins(u64::MAX / 60_000).as_millis() / 60_000,
+            u64::MAX / 60_000
+        );
+        assert_eq!(
+            SimDuration::from_secs(u64::MAX / 1_000).as_secs(),
+            u64::MAX / 1_000
+        );
+        assert_eq!(
+            SimDuration::from_mins(u64::MAX / 60_000).as_millis() / 60_000,
+            u64::MAX / 60_000
+        );
+        assert_eq!(
+            SimDuration::from_hours(u64::MAX / 3_600_000).as_millis() / 3_600_000,
+            u64::MAX / 3_600_000
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime::from_secs overflows")]
+    fn sim_time_from_secs_panics_on_overflow() {
+        let _ = SimTime::from_secs(u64::MAX / 1_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime::from_mins overflows")]
+    fn sim_time_from_mins_panics_on_overflow() {
+        let _ = SimTime::from_mins(u64::MAX / 60_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration::from_secs overflows")]
+    fn sim_duration_from_secs_panics_on_overflow() {
+        let _ = SimDuration::from_secs(u64::MAX / 1_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration::from_mins overflows")]
+    fn sim_duration_from_mins_panics_on_overflow() {
+        let _ = SimDuration::from_mins(u64::MAX / 60_000 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration::from_hours overflows")]
+    fn sim_duration_from_hours_panics_on_overflow() {
+        let _ = SimDuration::from_hours(u64::MAX / 3_600_000 + 1);
     }
 
     #[test]
