@@ -902,6 +902,32 @@ mod tests {
         assert!(CellOutcome::from_summary(&JsonValue::Obj(vec![]), vec![]).is_err());
     }
 
+    /// A zero-minute cell averages over an empty window: its powers read
+    /// zero under both policies, so its summary is JSON the cache and the
+    /// daemon can read back.
+    #[test]
+    fn zero_minute_cells_summarise_as_json() {
+        let case = resolve_case("Torch").unwrap();
+        for policy in [PolicyKind::Vanilla, PolicyKind::LeaseOs] {
+            let spec = ScenarioSpec {
+                label: format!("Torch/{}/all/42", policy.cli_name()),
+                app: case.build.clone(),
+                policy: std::sync::Arc::new(move || policy.build()),
+                device: DeviceProfile::pixel_xl(),
+                env: case.env.clone(),
+                seed: 42,
+                length: SimDuration::ZERO,
+            };
+            let plan = FaultArm::All.plan(42, spec.length, SimDuration::from_secs(300));
+            let outcome = run_cell(&spec, &plan, false);
+            assert_eq!(outcome.system_power_mw, 0.0, "{}", spec.label);
+            let summary = outcome.summary_json().to_json();
+            let reparsed = JsonValue::parse(&summary).unwrap_or_else(|e| panic!("{e}: {summary}"));
+            let back = CellOutcome::from_summary(&reparsed, outcome.jsonl.clone()).unwrap();
+            assert_eq!(back, outcome);
+        }
+    }
+
     /// The behaviour the ISSUE pins: violations from *every* cell are
     /// collected — evaluation never stops at the first bad cell or arm.
     #[test]

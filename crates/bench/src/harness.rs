@@ -92,7 +92,14 @@ impl ScenarioRun {
 
 /// Average system-wide power over the first `length` of the kernel's run,
 /// including the policy's modeled overhead, mW.
+///
+/// Returns zero for an empty window, as [`leaseos_simkit::EnergyMeter`]'s
+/// averages do: overhead over zero seconds is `inf` or `NaN`, and neither
+/// is JSON.
 pub(crate) fn system_power_mw(kernel: &Kernel, length: SimDuration) -> f64 {
+    if length.is_zero() {
+        return 0.0;
+    }
     kernel.meter().avg_total_power_mw(length) + kernel.policy_overhead_mj() / length.as_secs_f64()
 }
 

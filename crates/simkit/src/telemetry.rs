@@ -339,10 +339,18 @@ impl TelemetryEvent {
     /// the same seed produce byte-identical JSONL streams.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Appends [`TelemetryEvent::to_json`]'s bytes to `s`. Every integer
+    /// field is rendered as the `f64` it converts to, the number type JSON
+    /// has; string fields are static vocabulary words that need no escape.
+    fn write_json(&self, s: &mut String) {
         s.push_str("{\"event\":\"");
         s.push_str(self.kind().name());
         s.push_str("\",\"t_ms\":");
-        push_num(&mut s, self.at().as_millis() as f64);
+        push_num(s, self.at().as_millis() as f64);
         match *self {
             TelemetryEvent::ServiceAcquire {
                 app,
@@ -352,25 +360,28 @@ impl TelemetryEvent {
                 first,
                 ..
             } => {
-                push_field_num(&mut s, "app", app as f64);
-                push_field_num(&mut s, "obj", obj as f64);
-                push_field_str(&mut s, "kind", kind);
-                push_field_str(&mut s, "decision", decision);
-                s.push_str(",\"first\":");
-                s.push_str(if first { "true" } else { "false" });
+                push_num_field(s, r#","app":"#, app as f64);
+                push_num_field(s, r#","obj":"#, obj as f64);
+                push_str_field(s, r#","kind":""#, kind);
+                push_str_field(s, r#","decision":""#, decision);
+                s.push_str(if first {
+                    r#","first":true"#
+                } else {
+                    r#","first":false"#
+                });
             }
             TelemetryEvent::ServiceRelease { app, obj, .. }
             | TelemetryEvent::ObjectDead { app, obj, .. } => {
-                push_field_num(&mut s, "app", app as f64);
-                push_field_num(&mut s, "obj", obj as f64);
+                push_num_field(s, r#","app":"#, app as f64);
+                push_num_field(s, r#","obj":"#, obj as f64);
             }
             TelemetryEvent::PolicyOp { hook, obj, .. } => {
-                push_field_str(&mut s, "hook", hook);
-                push_field_num(&mut s, "obj", obj as f64);
+                push_str_field(s, r#","hook":""#, hook);
+                push_num_field(s, r#","obj":"#, obj as f64);
             }
             TelemetryEvent::PolicyAction { action, obj, .. } => {
-                push_field_str(&mut s, "action", action);
-                push_field_num(&mut s, "obj", obj as f64);
+                push_str_field(s, r#","action":""#, action);
+                push_num_field(s, r#","obj":"#, obj as f64);
             }
             TelemetryEvent::LeaseTransition {
                 lease,
@@ -379,30 +390,30 @@ impl TelemetryEvent {
                 to,
                 ..
             } => {
-                push_field_num(&mut s, "lease", lease as f64);
-                push_field_num(&mut s, "obj", obj as f64);
-                push_field_str(&mut s, "from", from);
-                push_field_str(&mut s, "to", to);
+                push_num_field(s, r#","lease":"#, lease as f64);
+                push_num_field(s, r#","obj":"#, obj as f64);
+                push_str_field(s, r#","from":""#, from);
+                push_str_field(s, r#","to":""#, to);
             }
             TelemetryEvent::ClassifierVerdict { lease, verdict, .. } => {
-                push_field_num(&mut s, "lease", lease as f64);
-                push_field_str(&mut s, "verdict", verdict);
+                push_num_field(s, r#","lease":"#, lease as f64);
+                push_str_field(s, r#","verdict":""#, verdict);
             }
             TelemetryEvent::TermRenewed { lease, term_s, .. } => {
-                push_field_num(&mut s, "lease", lease as f64);
-                push_field_num_key(&mut s, "term_s", term_s);
+                push_num_field(s, r#","lease":"#, lease as f64);
+                push_num_field(s, r#","term_s":"#, term_s);
             }
             TelemetryEvent::TermDeferred { lease, defer_s, .. } => {
-                push_field_num(&mut s, "lease", lease as f64);
-                push_field_num_key(&mut s, "defer_s", defer_s);
+                push_num_field(s, r#","lease":"#, lease as f64);
+                push_num_field(s, r#","defer_s":"#, defer_s);
             }
             TelemetryEvent::AppLifecycle { app, event, .. } => {
-                push_field_num(&mut s, "app", app as f64);
+                push_num_field(s, r#","app":"#, app as f64);
                 // "phase", not "event": the envelope key is already "event".
-                push_field_str(&mut s, "phase", event);
+                push_str_field(s, r#","phase":""#, event);
             }
             TelemetryEvent::DeviceState { state, .. } => {
-                push_field_str(&mut s, "state", state);
+                push_str_field(s, r#","state":""#, state);
             }
             TelemetryEvent::EnergySnapshot {
                 consumer,
@@ -410,16 +421,16 @@ impl TelemetryEvent {
                 energy_mj,
                 ..
             } => {
-                push_field_str(&mut s, "consumer", consumer);
-                push_field_num(&mut s, "id", id as f64);
-                push_field_num_key(&mut s, "energy_mj", energy_mj);
+                push_str_field(s, r#","consumer":""#, consumer);
+                push_num_field(s, r#","id":"#, id as f64);
+                push_num_field(s, r#","energy_mj":"#, energy_mj);
             }
             TelemetryEvent::FaultInjected {
                 fault, app, obj, ..
             } => {
-                push_field_str(&mut s, "fault", fault);
-                push_field_num(&mut s, "app", app as f64);
-                push_field_num(&mut s, "obj", obj as f64);
+                push_str_field(s, r#","fault":""#, fault);
+                push_num_field(s, r#","app":"#, app as f64);
+                push_num_field(s, r#","obj":"#, obj as f64);
             }
             TelemetryEvent::Attribution {
                 app,
@@ -428,10 +439,10 @@ impl TelemetryEvent {
                 wasted_mj,
                 ..
             } => {
-                push_field_num(&mut s, "app", app as f64);
-                push_field_str(&mut s, "component", component);
-                push_field_num_key(&mut s, "useful_mj", useful_mj);
-                push_field_num_key(&mut s, "wasted_mj", wasted_mj);
+                push_num_field(s, r#","app":"#, app as f64);
+                push_str_field(s, r#","component":""#, component);
+                push_num_field(s, r#","useful_mj":"#, useful_mj);
+                push_num_field(s, r#","wasted_mj":"#, wasted_mj);
             }
             TelemetryEvent::SpanSummary {
                 scope,
@@ -445,19 +456,18 @@ impl TelemetryEvent {
                 wasted_mj,
                 ..
             } => {
-                push_field_str(&mut s, "scope", scope);
-                push_field_num(&mut s, "id", id as f64);
-                push_field_num(&mut s, "app", app as f64);
-                push_field_str(&mut s, "kind", kind);
-                push_field_str(&mut s, "state", state);
-                push_field_str(&mut s, "pscope", pscope);
-                push_field_num(&mut s, "pid", pid as f64);
-                push_field_num_key(&mut s, "useful_mj", useful_mj);
-                push_field_num_key(&mut s, "wasted_mj", wasted_mj);
+                push_str_field(s, r#","scope":""#, scope);
+                push_num_field(s, r#","id":"#, id as f64);
+                push_num_field(s, r#","app":"#, app as f64);
+                push_str_field(s, r#","kind":""#, kind);
+                push_str_field(s, r#","state":""#, state);
+                push_str_field(s, r#","pscope":""#, pscope);
+                push_num_field(s, r#","pid":"#, pid as f64);
+                push_num_field(s, r#","useful_mj":"#, useful_mj);
+                push_num_field(s, r#","wasted_mj":"#, wasted_mj);
             }
         }
         s.push('}');
-        s
     }
 }
 
@@ -570,23 +580,51 @@ impl fmt::Display for TelemetryEvent {
     }
 }
 
+/// Appends `v` exactly as `format!("{v}")` renders it, without the
+/// formatter where it can: an integral `f64` below 2^53 in magnitude is
+/// written digit by digit. Those integers are exact in an `f64`, so their
+/// shortest round-trip form is their plain decimal digits; a larger one can
+/// print rounded (`u64::MAX as f64` prints `18446744073709552000`), and
+/// `-0.0` prints `-0`, so those and every fraction, infinity and NaN still
+/// go through `Display`.
 fn push_num(s: &mut String, v: f64) {
-    use fmt::Write as _;
-    let _ = write!(s, "{v}");
+    const EXACT: u64 = 1 << 53;
+    // Saturating, so `v as i64` is integral and finite whatever `v` is; it
+    // converts back to `v` exactly when `v` is an integer in i64's range.
+    let int = v as i64;
+    if int as f64 == v && int.unsigned_abs() < EXACT && !(int == 0 && v.is_sign_negative()) {
+        if int < 0 {
+            s.push('-');
+        }
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = int.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        s.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    } else {
+        use fmt::Write as _;
+        let _ = write!(s, "{v}");
+    }
 }
 
-fn push_field_num(s: &mut String, key: &str, v: f64) {
-    use fmt::Write as _;
-    let _ = write!(s, ",\"{key}\":{v}");
+/// Appends one numeric field; `key` is the whole literal `,"name":`.
+fn push_num_field(s: &mut String, key: &str, v: f64) {
+    s.push_str(key);
+    push_num(s, v);
 }
 
-fn push_field_num_key(s: &mut String, key: &str, v: f64) {
-    push_field_num(s, key, v);
-}
-
-fn push_field_str(s: &mut String, key: &str, v: &str) {
-    use fmt::Write as _;
-    let _ = write!(s, ",\"{key}\":\"{v}\"");
+/// Appends one string field; `key` is the whole literal `,"name":"`.
+fn push_str_field(s: &mut String, key: &str, v: &str) {
+    s.push_str(key);
+    s.push_str(v);
+    s.push('"');
 }
 
 /// A consumer of telemetry events.
@@ -851,15 +889,23 @@ impl Histogram {
 }
 
 /// Streams each event as one JSON line into any writer.
+///
+/// Each event is encoded into one reused line buffer and handed to the
+/// writer with a single `write_all`, so once the buffer has grown to the
+/// longest line, recording allocates nothing.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     out: W,
+    line: String,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// A sink writing to `out`.
     pub fn new(out: W) -> Self {
-        JsonlSink { out }
+        JsonlSink {
+            out,
+            line: String::new(),
+        }
     }
 
     /// Consumes the sink, returning the writer.
@@ -875,9 +921,10 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> Sink for JsonlSink<W> {
     fn record(&mut self, event: &TelemetryEvent) {
-        let line = event.to_json();
-        let _ = self.out.write_all(line.as_bytes());
-        let _ = self.out.write_all(b"\n");
+        self.line.clear();
+        event.write_json(&mut self.line);
+        self.line.push('\n');
+        let _ = self.out.write_all(self.line.as_bytes());
     }
 }
 
@@ -945,13 +992,10 @@ impl JsonValue {
     }
 
     fn write_to(&self, s: &mut String) {
-        use fmt::Write as _;
         match self {
             JsonValue::Null => s.push_str("null"),
             JsonValue::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => {
-                let _ = write!(s, "{n}");
-            }
+            JsonValue::Num(n) => push_num(s, *n),
             JsonValue::Str(v) => write_json_str(s, v),
             JsonValue::Arr(items) => {
                 s.push('[');
@@ -1478,6 +1522,357 @@ mod tests {
         let parsed = JsonValue::parse(&text).expect("the big document parses");
         assert_eq!(parsed.to_json(), text);
         assert_eq!(parsed, doc);
+    }
+
+    /// The event encoder as it was before the digit path: every field
+    /// through `write!`, integers cast to `f64` first. The encoder must
+    /// produce these bytes exactly.
+    fn reference_to_json(event: &TelemetryEvent) -> String {
+        use fmt::Write as _;
+        fn num(s: &mut String, key: &str, v: f64) {
+            let _ = write!(s, ",\"{key}\":{v}");
+        }
+        fn text(s: &mut String, key: &str, v: &str) {
+            let _ = write!(s, ",\"{key}\":\"{v}\"");
+        }
+        let mut s = String::new();
+        let _ = write!(
+            s,
+            "{{\"event\":\"{}\",\"t_ms\":{}",
+            event.kind().name(),
+            event.at().as_millis() as f64
+        );
+        match *event {
+            TelemetryEvent::ServiceAcquire {
+                app,
+                obj,
+                kind,
+                decision,
+                first,
+                ..
+            } => {
+                num(&mut s, "app", app as f64);
+                num(&mut s, "obj", obj as f64);
+                text(&mut s, "kind", kind);
+                text(&mut s, "decision", decision);
+                let _ = write!(s, ",\"first\":{first}");
+            }
+            TelemetryEvent::ServiceRelease { app, obj, .. }
+            | TelemetryEvent::ObjectDead { app, obj, .. } => {
+                num(&mut s, "app", app as f64);
+                num(&mut s, "obj", obj as f64);
+            }
+            TelemetryEvent::PolicyOp { hook, obj, .. } => {
+                text(&mut s, "hook", hook);
+                num(&mut s, "obj", obj as f64);
+            }
+            TelemetryEvent::PolicyAction { action, obj, .. } => {
+                text(&mut s, "action", action);
+                num(&mut s, "obj", obj as f64);
+            }
+            TelemetryEvent::LeaseTransition {
+                lease,
+                obj,
+                from,
+                to,
+                ..
+            } => {
+                num(&mut s, "lease", lease as f64);
+                num(&mut s, "obj", obj as f64);
+                text(&mut s, "from", from);
+                text(&mut s, "to", to);
+            }
+            TelemetryEvent::ClassifierVerdict { lease, verdict, .. } => {
+                num(&mut s, "lease", lease as f64);
+                text(&mut s, "verdict", verdict);
+            }
+            TelemetryEvent::TermRenewed { lease, term_s, .. } => {
+                num(&mut s, "lease", lease as f64);
+                num(&mut s, "term_s", term_s);
+            }
+            TelemetryEvent::TermDeferred { lease, defer_s, .. } => {
+                num(&mut s, "lease", lease as f64);
+                num(&mut s, "defer_s", defer_s);
+            }
+            TelemetryEvent::AppLifecycle { app, event, .. } => {
+                num(&mut s, "app", app as f64);
+                text(&mut s, "phase", event);
+            }
+            TelemetryEvent::DeviceState { state, .. } => text(&mut s, "state", state),
+            TelemetryEvent::EnergySnapshot {
+                consumer,
+                id,
+                energy_mj,
+                ..
+            } => {
+                text(&mut s, "consumer", consumer);
+                num(&mut s, "id", id as f64);
+                num(&mut s, "energy_mj", energy_mj);
+            }
+            TelemetryEvent::FaultInjected {
+                fault, app, obj, ..
+            } => {
+                text(&mut s, "fault", fault);
+                num(&mut s, "app", app as f64);
+                num(&mut s, "obj", obj as f64);
+            }
+            TelemetryEvent::Attribution {
+                app,
+                component,
+                useful_mj,
+                wasted_mj,
+                ..
+            } => {
+                num(&mut s, "app", app as f64);
+                text(&mut s, "component", component);
+                num(&mut s, "useful_mj", useful_mj);
+                num(&mut s, "wasted_mj", wasted_mj);
+            }
+            TelemetryEvent::SpanSummary {
+                scope,
+                id,
+                app,
+                kind,
+                state,
+                pscope,
+                pid,
+                useful_mj,
+                wasted_mj,
+                ..
+            } => {
+                text(&mut s, "scope", scope);
+                num(&mut s, "id", id as f64);
+                num(&mut s, "app", app as f64);
+                text(&mut s, "kind", kind);
+                text(&mut s, "state", state);
+                text(&mut s, "pscope", pscope);
+                num(&mut s, "pid", pid as f64);
+                num(&mut s, "useful_mj", useful_mj);
+                num(&mut s, "wasted_mj", wasted_mj);
+            }
+        }
+        s.push('}');
+        s
+    }
+
+    fn rendered(v: f64) -> String {
+        let mut s = String::new();
+        push_num(&mut s, v);
+        s
+    }
+
+    /// An integer of uniformly drawn bit length, so every magnitude from 0
+    /// to `u64::MAX` is as likely as any other.
+    fn any_int(rng: &mut TestRng) -> u64 {
+        rng.next_u64() >> rng.below(64)
+    }
+
+    /// Values on either side of every rule in [`push_num`].
+    const EDGES: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        -0.5,
+        9_007_199_254_740_991.0,
+        -9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        -9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        1_152_921_504_606_846_976.0,
+        9_223_372_036_854_775_807.0,
+        -9_223_372_036_854_775_808.0,
+        18_446_744_073_709_551_615.0,
+        1e21,
+        -1e21,
+        1e300,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        f64::EPSILON,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// A float drawn from raw bit patterns, integral values of every
+    /// magnitude and sign, subnormals, and the edges above.
+    fn any_num(rng: &mut TestRng) -> f64 {
+        match rng.below(5) {
+            0 => f64::from_bits(rng.next_u64()),
+            1 => any_int(rng) as f64,
+            2 => -(any_int(rng) as f64),
+            3 => f64::from_bits(rng.next_u64() >> 12 | (rng.below(2) << 63)),
+            _ => EDGES[rng.below(EDGES.len() as u64) as usize],
+        }
+    }
+
+    #[test]
+    fn numbers_render_as_display_at_every_edge() {
+        let ints = [
+            0,
+            1,
+            u64::from(u32::MAX),
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            (1 << 53) + 2,
+            1 << 60,
+            (1 << 63) - 1,
+            1 << 63,
+            u64::MAX,
+        ];
+        for v in ints {
+            assert_eq!(rendered(v as f64), format!("{}", v as f64), "{v}");
+        }
+        for &v in EDGES {
+            assert_eq!(rendered(v), format!("{v}"), "{v:?}");
+        }
+        assert_eq!(rendered(-0.0), "-0");
+        assert_eq!(rendered(u64::MAX as f64), "18446744073709552000");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// An integer field renders as `format!` renders the `f64` it
+        /// converts to, across the whole `u64` range.
+        #[test]
+        fn integers_render_as_their_f64_display(v in from_fn(any_int)) {
+            prop_assert_eq!(rendered(v as f64), format!("{}", v as f64));
+        }
+
+        /// Every float renders as its `Display`.
+        #[test]
+        fn floats_render_as_their_display(v in from_fn(any_num)) {
+            prop_assert_eq!(rendered(v), format!("{v}"));
+        }
+    }
+
+    const WORDS: &[&str] = &["wakelock", "grant", "on_timer", "active", "", "app", "obj"];
+
+    /// One event of `kind` with every field drawn at random.
+    fn any_event(rng: &mut TestRng, kind: EventKind) -> TelemetryEvent {
+        let at = SimTime::from_millis(any_int(rng));
+        let word = |rng: &mut TestRng| WORDS[rng.below(WORDS.len() as u64) as usize];
+        let app = (rng.next_u64() as u32) >> rng.below(32);
+        match kind {
+            EventKind::ServiceAcquire => TelemetryEvent::ServiceAcquire {
+                at,
+                app,
+                obj: any_int(rng),
+                kind: word(rng),
+                decision: word(rng),
+                first: rng.below(2) == 1,
+            },
+            EventKind::ServiceRelease => TelemetryEvent::ServiceRelease {
+                at,
+                app,
+                obj: any_int(rng),
+            },
+            EventKind::ObjectDead => TelemetryEvent::ObjectDead {
+                at,
+                app,
+                obj: any_int(rng),
+            },
+            EventKind::PolicyOp => TelemetryEvent::PolicyOp {
+                at,
+                hook: word(rng),
+                obj: any_int(rng),
+            },
+            EventKind::PolicyAction => TelemetryEvent::PolicyAction {
+                at,
+                action: word(rng),
+                obj: any_int(rng),
+            },
+            EventKind::LeaseTransition => TelemetryEvent::LeaseTransition {
+                at,
+                lease: any_int(rng),
+                obj: any_int(rng),
+                from: word(rng),
+                to: word(rng),
+            },
+            EventKind::ClassifierVerdict => TelemetryEvent::ClassifierVerdict {
+                at,
+                lease: any_int(rng),
+                verdict: word(rng),
+            },
+            EventKind::TermRenewed => TelemetryEvent::TermRenewed {
+                at,
+                lease: any_int(rng),
+                term_s: any_num(rng),
+            },
+            EventKind::TermDeferred => TelemetryEvent::TermDeferred {
+                at,
+                lease: any_int(rng),
+                defer_s: any_num(rng),
+            },
+            EventKind::AppLifecycle => TelemetryEvent::AppLifecycle {
+                at,
+                app,
+                event: word(rng),
+            },
+            EventKind::DeviceState => TelemetryEvent::DeviceState {
+                at,
+                state: word(rng),
+            },
+            EventKind::EnergySnapshot => TelemetryEvent::EnergySnapshot {
+                at,
+                consumer: word(rng),
+                id: app,
+                energy_mj: any_num(rng),
+            },
+            EventKind::FaultInjected => TelemetryEvent::FaultInjected {
+                at,
+                fault: word(rng),
+                app,
+                obj: any_int(rng),
+            },
+            EventKind::Attribution => TelemetryEvent::Attribution {
+                at,
+                app,
+                component: word(rng),
+                useful_mj: any_num(rng),
+                wasted_mj: any_num(rng),
+            },
+            EventKind::SpanSummary => TelemetryEvent::SpanSummary {
+                at,
+                scope: word(rng),
+                id: any_int(rng),
+                app,
+                kind: word(rng),
+                state: word(rng),
+                pscope: word(rng),
+                pid: any_int(rng),
+                useful_mj: any_num(rng),
+                wasted_mj: any_num(rng),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every kind of event encodes to the reference's bytes, through
+        /// `to_json` and through the sink's reused line buffer alike.
+        #[test]
+        fn events_encode_as_the_reference(
+            events in from_fn(|rng| EventKind::ALL.map(|kind| any_event(rng, kind)))
+        ) {
+            let mut sink = JsonlSink::new(Vec::new());
+            let mut expected = String::new();
+            for event in &events {
+                let reference = reference_to_json(event);
+                prop_assert_eq!(event.to_json(), reference.clone());
+                sink.record(event);
+                expected.push_str(&reference);
+                expected.push('\n');
+            }
+            prop_assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), expected);
+        }
     }
 
     #[test]

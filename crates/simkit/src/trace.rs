@@ -358,6 +358,10 @@ impl Span {
 pub struct SpanLedger {
     now: SimTime,
     spans: BTreeMap<SpanScope, Span>,
+    /// The scopes whose draw set is non-empty, ascending. Only these spans
+    /// gain energy when time advances, so a settle walks them and not
+    /// every span ever opened.
+    drawn: Vec<SpanScope>,
     /// lease id → governed object, learned from transitions, so verdicts
     /// and term events (which carry only the lease id) find their span.
     lease_obj: BTreeMap<u64, u64>,
@@ -377,6 +381,7 @@ impl SpanLedger {
         SpanLedger {
             now: SimTime::ZERO,
             spans,
+            drawn: Vec::new(),
             lease_obj: BTreeMap::new(),
             pending: BTreeMap::new(),
         }
@@ -385,8 +390,11 @@ impl SpanLedger {
     fn advance_to(&mut self, now: SimTime) {
         assert!(now >= self.now, "span ledger time went backwards");
         let from = self.now;
-        for span in self.spans.values_mut() {
-            span.integrate(from, now);
+        for scope in &self.drawn {
+            self.spans
+                .get_mut(scope)
+                .expect("a drawn scope has a span")
+                .integrate(from, now);
         }
         self.now = now;
     }
@@ -405,8 +413,12 @@ impl SpanLedger {
         desired: &BTreeMap<(SpanScope, ComponentKind, bool), f64>,
     ) {
         self.advance_to(now);
-        for span in self.spans.values_mut() {
-            span.draws.clear();
+        for scope in self.drawn.drain(..) {
+            self.spans
+                .get_mut(&scope)
+                .expect("a drawn scope has a span")
+                .draws
+                .clear();
         }
         for ((scope, component, wasted), mw) in desired {
             let span = match self.spans.get_mut(scope) {
@@ -423,6 +435,10 @@ impl SpanLedger {
                 }
             };
             *span.draws.entry((*component, *wasted)).or_insert(0.0) += mw;
+            // `desired` is sorted by scope, so a scope's keys are adjacent.
+            if self.drawn.last() != Some(scope) {
+                self.drawn.push(*scope);
+            }
         }
     }
 
@@ -664,6 +680,8 @@ impl Sink for SpanLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::from_fn;
 
     #[test]
     fn record_and_read_back() {
@@ -877,5 +895,156 @@ mod tests {
         assert_eq!(span.app(), 5);
         assert_eq!(span.opened_at(), SimTime::from_secs(2));
         assert!((span.useful_mj() - 100.0).abs() < 1e-9);
+    }
+
+    type Draws = BTreeMap<(SpanScope, ComponentKind, bool), f64>;
+    type Buckets = BTreeMap<(ComponentKind, bool), f64>;
+
+    /// The integrator as it was before the ledger tracked drawn scopes:
+    /// every settle walks every scope ever drawn, emptied ones included.
+    #[derive(Default)]
+    struct WalkAllLedger {
+        now: SimTime,
+        draws: BTreeMap<SpanScope, Buckets>,
+        energy: BTreeMap<SpanScope, Buckets>,
+    }
+
+    impl WalkAllLedger {
+        fn settle(&mut self, now: SimTime) {
+            let ms = now.since(self.now).as_millis();
+            if ms > 0 {
+                for (scope, draws) in &self.draws {
+                    let energy = self.energy.entry(*scope).or_default();
+                    for (key, mw) in draws {
+                        *energy.entry(*key).or_insert(0.0) += mw * ms as f64 / 1000.0;
+                    }
+                }
+            }
+            self.now = now;
+        }
+
+        fn set_draws(&mut self, now: SimTime, desired: &Draws) {
+            self.settle(now);
+            for draws in self.draws.values_mut() {
+                draws.clear();
+            }
+            for ((scope, component, wasted), mw) in desired {
+                *self
+                    .draws
+                    .entry(*scope)
+                    .or_default()
+                    .entry((*component, *wasted))
+                    .or_insert(0.0) += mw;
+            }
+        }
+    }
+
+    /// One step of a traced run as the kernel drives the ledger.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A fresh object's span opens.
+        Open(u64),
+        /// The object dies; its span closes but keeps its draws until the
+        /// next `set_draws`, as in the kernel.
+        Close(u64),
+        /// A new draw set (possibly empty: every span undrawn).
+        Draw(Draws),
+        /// Time advances with draws unchanged.
+        Settle,
+    }
+
+    /// A random schedule over up to eight objects owned by three apps.
+    /// Object ids are never reused and a draw names only objects opened
+    /// earlier, as in the kernel.
+    fn schedule(rng: &mut TestRng) -> Vec<(u64, Step)> {
+        let mut opened: Vec<u64> = Vec::new();
+        (0..rng.below(60) + 1)
+            .map(|_| {
+                let dt = [0, 1, 7, 250, 5_000][rng.below(5) as usize];
+                let step = match rng.below(5) {
+                    0 if opened.len() < 8 => {
+                        opened.push(opened.len() as u64 + 1);
+                        Step::Open(opened.len() as u64)
+                    }
+                    1 => Step::Close(rng.below(8) + 1),
+                    2 => Step::Settle,
+                    _ => {
+                        let mut draws = Draws::new();
+                        for _ in 0..rng.below(6) {
+                            let scope = match rng.below(3) {
+                                0 => SpanScope::System,
+                                1 => SpanScope::App(rng.below(3) as u32),
+                                _ if opened.is_empty() => SpanScope::System,
+                                _ => {
+                                    SpanScope::Obj(opened[rng.below(opened.len() as u64) as usize])
+                                }
+                            };
+                            let component = ComponentKind::ALL[rng.below(6) as usize];
+                            let mw = (rng.next_f64() * 2_000.0 * 1_024.0).round() / 1_024.0;
+                            *draws
+                                .entry((scope, component, rng.below(2) == 1))
+                                .or_insert(0.0) += mw;
+                        }
+                        Step::Draw(draws)
+                    }
+                };
+                (dt, step)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Integrating only the drawn spans gives every span the same
+        /// energy, bit for bit, as walking every span on every settle.
+        #[test]
+        fn drawn_spans_integrate_like_walking_every_span(steps in from_fn(schedule)) {
+            let mut ledger = SpanLedger::new();
+            let mut reference = WalkAllLedger::default();
+            let mut now = SimTime::ZERO;
+            for (dt, step) in &steps {
+                now += crate::SimDuration::from_millis(*dt);
+                match step {
+                    Step::Open(obj) => ledger.record(&TelemetryEvent::ServiceAcquire {
+                        at: now,
+                        app: (*obj % 3) as u32,
+                        obj: *obj,
+                        kind: "wakelock",
+                        decision: "grant",
+                        first: true,
+                    }),
+                    Step::Close(obj) => ledger.record(&TelemetryEvent::ObjectDead {
+                        at: now,
+                        app: (*obj % 3) as u32,
+                        obj: *obj,
+                    }),
+                    Step::Draw(draws) => {
+                        ledger.set_draws(now, draws);
+                        reference.set_draws(now, draws);
+                    }
+                    Step::Settle => {
+                        ledger.settle(now);
+                        reference.settle(now);
+                    }
+                }
+            }
+            let end = now + crate::SimDuration::from_secs(60);
+            ledger.settle(end);
+            reference.settle(end);
+
+            let bits = |buckets: &mut dyn Iterator<Item = (ComponentKind, bool, f64)>| {
+                buckets.map(|(c, w, mj)| (c, w, mj.to_bits())).collect::<Vec<_>>()
+            };
+            for span in ledger.spans() {
+                let expected = reference.energy.get(&span.scope()).map_or_else(Vec::new, |e| {
+                    bits(&mut e.iter().map(|((c, w), mj)| (*c, *w, *mj)))
+                });
+                prop_assert_eq!(bits(&mut span.energy_by_component()), expected);
+            }
+            for scope in reference.energy.keys() {
+                prop_assert!(ledger.span(*scope).is_some(), "{:?} has no span", scope);
+            }
+        }
     }
 }

@@ -139,6 +139,37 @@ fn huge_explore_trace_is_answered_and_the_daemon_survives() {
     daemon.shutdown().expect("clean shutdown");
 }
 
+/// A zero-minute cell is answered with parseable JSON under both
+/// policies: its averages over the empty window read zero, not `NaN` or
+/// `inf`.
+#[test]
+fn zero_minute_cells_are_answered() {
+    let mut config = DaemonConfig::scratch("proto-zero");
+    config.cache_dir = None;
+    let daemon = daemon::spawn(config).expect("daemon binds");
+
+    let mut client = RawClient::connect(daemon.socket());
+    for policy in ["vanilla", "leaseos"] {
+        let line = client
+            .round_trip(
+                format!(
+                    r#"{{"v":1,"cmd":"run-cell","app":"Torch","policy":"{policy}","minutes":0}}"#
+                )
+                .as_bytes(),
+            )
+            .expect("the run-cell request is answered");
+        let resp = JsonValue::parse(&line)
+            .unwrap_or_else(|e| panic!("the response line parses ({e}): {line}"));
+        assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(true)), "got {line}");
+        assert_eq!(
+            resp.get("result").and_then(|r| r.get("system_power_mw")),
+            Some(&JsonValue::Num(0.0)),
+            "got {line}"
+        );
+    }
+    daemon.shutdown().expect("clean shutdown");
+}
+
 /// An `id` whose object keys need escaping is echoed as one well-formed
 /// response line: the keys are escaped on the way out, not written raw.
 #[test]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use leaseos_apps::buggy::table5_cases;
 use leaseos_bench::dumpsys::{live_report, scenario_label, Format, Report};
 use leaseos_bench::{PolicyKind, ScenarioRunner, ScenarioSpec};
-use leaseos_simkit::{DeviceProfile, JsonlSink, SimDuration};
+use leaseos_simkit::{DeviceProfile, JsonValue, JsonlSink, SimDuration};
 
 /// Short scenario so the goldens stay readable and the tests fast.
 const MINS: u64 = 5;
@@ -151,6 +151,22 @@ fn reports_are_byte_identical_across_harness_thread_counts() {
             report.render(Format::Folded),
             reparsed.render(Format::Folded)
         );
+    }
+}
+
+/// Every line of a recorded cell and of a traced live stream re-renders
+/// unchanged through the parser and `JsonValue::to_json`: the two
+/// encoders write each number the same way.
+#[test]
+fn recorded_lines_re_render_unchanged() {
+    let live = leaseos_bench::dumpsys::live_jsonl("K-9", PolicyKind::Vanilla, 42, 30);
+    let recorded = include_str!("golden/chaos_cell_facebook_leaseos_all_42.jsonl");
+    for stream in [recorded, &live] {
+        assert!(stream.lines().count() > 500);
+        for line in stream.lines() {
+            let parsed = JsonValue::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(parsed.to_json(), line);
+        }
     }
 }
 
